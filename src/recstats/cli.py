@@ -196,6 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact counts and denominators outgrow CPython's int->str digit
+    # limit (4300 by default); lift it for this call only.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:
@@ -204,6 +209,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

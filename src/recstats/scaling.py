@@ -25,7 +25,6 @@ bounded series certifying the uniform convergence rate.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -148,15 +147,12 @@ def _segments(n: int, stat: str, row: Sequence[int]) -> list[tuple[float, float,
     return segs
 
 
-def _row_for(n: int, stat: str, table: CountTable | None) -> list[int]:
-    if table is not None:
-        if table.n != n or table.kind != stat:
-            raise ValueError("supplied table does not match (n, stat)")
-        src = table
-    else:
-        src = _cached_table(n, stat)
-    size = n if stat == REC else srec_max(n)
-    return [src.coeffs.get(k, 0) for k in range(size + 1)]
+def _row_for(n: int, stat: str, table: CountTable | None) -> tuple[int, ...]:
+    if table is None:
+        return _cached_table(n, stat).coeffs
+    if table.n != n or table.kind != stat:
+        raise ValueError("supplied table does not match (n, stat)")
+    return table.coeffs
 
 
 def _sup_from_row(n: int, stat: str, row: Sequence[int]) -> DeviationReport:
@@ -189,45 +185,20 @@ def sup_deviation(n: int, stat: str, table: CountTable | None = None) -> Deviati
     return _sup_from_row(n, stat, _row_for(n, stat, table))
 
 
-def default_threads() -> int:
-    """Worker cap: RECSTAT_THREADS when set, else machine parallelism."""
-    env = os.environ.get("RECSTAT_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"RECSTAT_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ValueError("RECSTAT_THREADS must be >= 1")
-        return cap
-    return os.cpu_count() or 1
-
-
-def tau_series(
-    stat: str, n_min: int, n_max: int, threads: int | None = None
-) -> list[DeviationReport]:
+def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """DeviationReport for every n in [n_min, n_max], ascending.
 
-    Rows are built once, incrementally; with threads > 1 the per-row sup
-    scans fan out to a thread pool while results are collected in n
-    order, so output is identical regardless of schedule.
+    Rows are built once, incrementally, and each row is scanned as soon
+    as it is built, so one row is alive at a time (plus its predecessor
+    while the next one is built).
     """
     _check_stat(stat)
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
     if stat == SREC and n_max > SREC_SERIES_LIMIT:
         raise ValueError(f"srec series is limited to n_max <= {SREC_SERIES_LIMIT}")
-    if threads is None:
-        threads = default_threads()
     rows = iter_rec_rows(n_max) if stat == REC else iter_srec_rows(n_max)
-    wanted = ((n, row) for n, row in rows if n >= n_min)
-    if threads <= 1:
-        return [_sup_from_row(n, stat, row) for n, row in wanted]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_sup_from_row, n, stat, row) for n, row in wanted]
-        return [f.result() for f in futures]
+    return [_sup_from_row(n, stat, row) for n, row in rows if n >= n_min]
 
 
 def curve_samples(

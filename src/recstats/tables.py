@@ -12,10 +12,11 @@ exact big-integer operations:
     c(n, k) = c(n-1, k-1) + (n-1) * c(n-1, k)
     C(n, k) = C(n-1, k-n) + (n-1) * C(n-1, k)
 
-Rows are stored densely: a REC row covers k in [0, n] (k = 0 is always
-zero), an SREC row covers k in [1, n(n+1)/2] and keeps its zeros, which
-sit exactly at k = 2 and k = n(n+1)/2 - 1 once n >= 3.  Counts grow
-like n!, so everything stays in Python integers.
+Rows are stored densely, indexed by k from 0: a REC row covers k in
+[0, n], an SREC row covers k in [0, n(n+1)/2].  Entry 0 is always zero,
+and SREC rows keep their zeros, which sit exactly at k = 2 and
+k = n(n+1)/2 - 1 once n >= 3.  Counts grow like n!, so everything stays
+in Python integers.
 """
 
 from __future__ import annotations
@@ -42,20 +43,26 @@ def srec_max(n: int) -> int:
 class CountTable:
     """One dense coefficient row of either statistic.
 
-    ``coeffs`` maps k to the exact count, in ascending k order, over the
-    full dense range of the kind.  Row total is always n!.
+    ``coeffs`` is a tuple of exact counts indexed by k from 0: length
+    n + 1 for REC and n(n+1)/2 + 1 for SREC.  Entry 0 is always 0, and
+    the row total is always n!.
     """
 
     n: int
     kind: str
-    coeffs: dict[int, int]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.kind not in (REC, SREC):
             raise ValueError(f"kind must be {REC!r} or {SREC!r}")
+        top = self.n if self.kind == REC else srec_max(self.n)
+        if len(self.coeffs) != top + 1:
+            raise ValueError(
+                f"{self.kind} row for n={self.n} needs {top + 1} entries, got {len(self.coeffs)}"
+            )
 
     def total(self) -> int:
-        return sum(self.coeffs.values())
+        return sum(self.coeffs)
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
@@ -110,22 +117,22 @@ def rec_table(n: int) -> CountTable:
     """Exact row of c(n, k) for k in [0, n].
 
     >>> rec_table(3).coeffs
-    {0: 0, 1: 2, 2: 3, 3: 1}
+    (0, 2, 3, 1)
     """
     _check_n(n)
     row = _last(iter_rec_rows(n))
-    return CountTable(n, REC, dict(enumerate(row)))
+    return CountTable(n, REC, tuple(row))
 
 
 def srec_table(n: int) -> CountTable:
-    """Exact row of C(n, k) for k in [1, n(n+1)/2].
+    """Exact row of C(n, k) for k in [0, n(n+1)/2].
 
     >>> srec_table(3).coeffs
-    {1: 2, 2: 0, 3: 2, 4: 1, 5: 0, 6: 1}
+    (0, 2, 0, 2, 1, 0, 1)
     """
     _check_n(n)
     row = _last(iter_srec_rows(n))
-    return CountTable(n, SREC, {k: row[k] for k in range(1, len(row))})
+    return CountTable(n, SREC, tuple(row))
 
 
 def brute_force_tables(n: int) -> tuple[CountTable, CountTable]:
@@ -147,8 +154,8 @@ def brute_force_tables(n: int) -> tuple[CountTable, CountTable]:
         rec_hist[len(positions)] += 1
         srec_hist[sum(positions)] += 1
     return (
-        CountTable(n, REC, dict(enumerate(rec_hist))),
-        CountTable(n, SREC, {k: srec_hist[k] for k in range(1, len(srec_hist))}),
+        CountTable(n, REC, tuple(rec_hist)),
+        CountTable(n, SREC, tuple(srec_hist)),
     )
 
 
@@ -167,15 +174,10 @@ def big_ln(value: int) -> float:
     return math.log(value)
 
 
-def _exported_ks(table: CountTable) -> range:
-    # k = 0 of a REC row is identically zero and is not exported
-    return range(1, table.n + 1) if table.kind == REC else range(1, srec_max(table.n) + 1)
-
-
 def table_csv(table: CountTable) -> str:
-    """CSV document ``n,k,count``, one row per exported k."""
+    """CSV document ``n,k,count``, one row per k >= 1 (entry 0 is not exported)."""
     lines = ["n,k,count"]
-    lines.extend(f"{table.n},{k},{table.coeffs[k]}" for k in _exported_ks(table))
+    lines.extend(f"{table.n},{k},{table.coeffs[k]}" for k in range(1, len(table.coeffs)))
     return "\n".join(lines) + "\n"
 
 
@@ -187,6 +189,6 @@ def table_json(table: CountTable) -> str:
         {
             "n": table.n,
             "kind": table.kind,
-            "coeffs": {str(k): str(table.coeffs[k]) for k in _exported_ks(table)},
+            "coeffs": {str(k): str(table.coeffs[k]) for k in range(1, len(table.coeffs))},
         }
     )

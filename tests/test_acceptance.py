@@ -38,7 +38,7 @@ from recstats import (
     temme_estimate,
 )
 from recstats.cli import main
-from recstats.tables import REC, SREC
+from recstats.tables import REC, SREC, CountTable
 from recstats.temme import digamma, log_gamma, trigamma
 
 SLACK = 1e-9
@@ -77,7 +77,7 @@ def test_criterion_3_formula_identities():
         fact = math.factorial(n)
         rec_row = rec_table(n)
         for k in range(0, n + 2):
-            expected = rec_row.coeffs.get(k, 0)
+            expected = rec_row.coeffs[k] if k <= n else 0
             assert rec_prob_sum(n, k) * fact == expected, f"rec formula at n={n}, k={k}"
         srec_row = srec_table(n)
         for k in range(1, srec_max(n) + 1):
@@ -171,25 +171,18 @@ def test_criterion_5_extremal_structure():
 def test_criterion_6_rec_uniform_convergence(rec_rows_300):
     taus = {}
     for n in range(2, 201):
-        taus[n] = sup_deviation(n, REC, table=_as_table(n, REC, rec_rows_300[n])).tau
+        taus[n] = sup_deviation(n, REC, table=CountTable(n, REC, tuple(rec_rows_300[n]))).tau
     c_emp = max(taus[n] for n in range(2, 51))
     for n in range(2, 201):
         assert taus[n] <= 1.1 * c_emp, f"tau_rec({n}) = {taus[n]} exceeds 1.1 * {c_emp}"
     _report(f"PASS criterion 6: rec certificate (C_emp = {c_emp:.4f}, n <= 200)")
 
 
-def _as_table(n: int, kind: str, row: list[int]):
-    from recstats.tables import CountTable
-
-    start = 0 if kind == REC else 1
-    return CountTable(n, kind, {k: row[k] for k in range(start, len(row))})
-
-
 def test_criterion_7_srec_certificate_and_figures(tmp_path, capsys, srec_rows_150):
     started = time.monotonic()
     taus = {}
     for n in range(2, 151):
-        taus[n] = sup_deviation(n, SREC, table=_as_table(n, SREC, srec_rows_150[n])).tau
+        taus[n] = sup_deviation(n, SREC, table=CountTable(n, SREC, tuple(srec_rows_150[n]))).tau
     c_emp = max(taus[n] for n in range(2, 51))
     for n in range(2, 151):
         assert taus[n] <= 1.1 * c_emp, f"tau_srec({n}) exceeds 1.1 * window max"

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -12,6 +14,23 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digit_limit() -> int | None:
+    """CPython's int<->str digit limit, or None where the interpreter has none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    limit = digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestSubcommands:
@@ -158,3 +177,40 @@ class TestOutputFiles:
         assert code == 0
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + srec_max(9)
+
+
+class TestLongDecimals:
+    # c(1600, 1) = 1599! and the denominator 1700! both exceed 4300 digits
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rec_table_n1600(self, capsys, fmt):
+        before = digit_limit()
+        code, out, err = run(capsys, "rec-table", "--n", "1600", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert digit_limit() == before
+        if fmt == "csv":
+            lines = out.splitlines()
+            assert lines[0] == "n,k,count"
+            counts = {}
+            for line in lines[1:]:
+                n, k, count = line.split(",")
+                assert n == "1600"
+                counts[int(k)] = count
+        else:
+            doc = json.loads(out)
+            assert (doc["n"], doc["kind"]) == (1600, "rec")
+            counts = {int(k): count for k, count in doc["coeffs"].items()}
+        assert list(counts) == list(range(1, 1601))
+        assert counts[1600] == "1"
+        with unlimited_digits():
+            assert counts[1] == str(math.factorial(1599))
+            assert sum(int(count) for count in counts.values()) == math.factorial(1600)
+
+    def test_all_records_pattern_n1700(self, capsys):
+        marks = ",".join(f"{j}:Y" for j in range(2, 1701))
+        before = digit_limit()
+        code, out, err = run(capsys, "pattern", "--n", "1700", "--marks", marks)
+        assert (code, err) == (0, "")
+        assert digit_limit() == before
+        with unlimited_digits():
+            assert out == f"1/{math.factorial(1700)}\n"

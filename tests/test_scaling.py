@@ -66,17 +66,14 @@ class TestSegments:
         for stat in (REC, SREC):
             for n in (2, 3, 7, 12):
                 table = rec_table(n) if stat == REC else srec_table(n)
-                size = n if stat == REC else srec_max(n)
-                row = [table.coeffs.get(k, 0) for k in range(size + 1)]
-                segs = _segments(n, stat, row)
+                segs = _segments(n, stat, table.coeffs)
                 assert segs[0][0] == 0.0
                 assert segs[-1][1] == 1.0
                 for (_, hi, _), (lo, _, _) in zip(segs, segs[1:]):
                     assert hi == lo
 
     def test_values_positive(self):
-        row = [srec_table(6).coeffs.get(k, 0) for k in range(srec_max(6) + 1)]
-        for _, _, value in _segments(6, SREC, row):
+        for _, _, value in _segments(6, SREC, srec_table(6).coeffs):
             assert value > 0
 
 
@@ -103,9 +100,7 @@ class TestSupDeviation:
         for stat in (REC, SREC):
             for n in (3, 10, 25):
                 table = rec_table(n) if stat == REC else srec_table(n)
-                size = n if stat == REC else srec_max(n)
-                row = [table.coeffs.get(k, 0) for k in range(size + 1)]
-                segs = _segments(n, stat, row)
+                segs = _segments(n, stat, table.coeffs)
                 report = sup_deviation(n, stat)
                 for _ in range(10):
                     lo, hi, value = segs[rng.randrange(len(segs))]
@@ -127,29 +122,18 @@ class TestSupDeviation:
 
 class TestTauSeries:
     def test_report_fields_consistent(self):
-        for report in tau_series(REC, 2, 20, threads=1):
+        for report in tau_series(REC, 2, 20):
             assert report.tau == pytest.approx(report.sup_dev * math.log(report.n))
             assert 0.0 <= report.argmax_x <= 1.0
 
     def test_bounded_window(self):
-        reports = tau_series(REC, 2, 60, threads=1)
+        reports = tau_series(REC, 2, 60)
         taus = {r.n: r.tau for r in reports}
         c_emp = max(taus[n] for n in range(2, 51))
         assert all(taus[n] <= 1.1 * c_emp for n in range(51, 61))
 
-    def test_threaded_matches_sequential(self):
-        sequential = tau_series(SREC, 2, 25, threads=1)
-        threaded = tau_series(SREC, 2, 25, threads=4)
-        assert sequential == threaded
-
-    def test_env_cap_parsing(self, monkeypatch):
-        from recstats.scaling import default_threads
-
-        monkeypatch.setenv("RECSTAT_THREADS", "3")
-        assert default_threads() == 3
-        monkeypatch.setenv("RECSTAT_THREADS", "zero")
-        with pytest.raises(ValueError):
-            default_threads()
+    def test_streaming_matches_per_n(self):
+        assert tau_series(SREC, 2, 25) == [sup_deviation(n, SREC) for n in range(2, 26)]
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -192,7 +176,7 @@ class TestCsv:
         assert text.endswith("\n")
 
     def test_tau_csv_shape(self):
-        text = tau_csv(tau_series(REC, 2, 6, threads=1))
+        text = tau_csv(tau_series(REC, 2, 6))
         lines = text.splitlines()
         assert lines[0] == "n,sup_dev,tau,argmax_x"
         assert len(lines) == 6

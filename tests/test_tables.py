@@ -6,6 +6,7 @@ import pytest
 from recstats.tables import (
     REC,
     SREC,
+    CountTable,
     big_ln,
     brute_force_tables,
     rec_table,
@@ -16,13 +17,27 @@ from recstats.tables import (
 )
 
 
+class TestCountTable:
+    def test_rows_are_tuples_from_k0(self):
+        for table in (rec_table(4), srec_table(4), *brute_force_tables(4)):
+            assert isinstance(table.coeffs, tuple)
+            assert table.coeffs[0] == 0
+            assert table.total() == math.factorial(4)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            CountTable(3, REC, (2, 3, 1))
+        with pytest.raises(ValueError):
+            CountTable(3, SREC, (0, 2, 3, 1))
+
+
 class TestRecTable:
     def test_n1(self):
-        assert rec_table(1).coeffs == {0: 0, 1: 1}
+        assert rec_table(1).coeffs == (0, 1)
 
     def test_n3_by_hand(self):
         # q(q+1)(q+2) = q^3 + 3q^2 + 2q
-        assert rec_table(3).coeffs == {0: 0, 1: 2, 2: 3, 3: 1}
+        assert rec_table(3).coeffs == (0, 2, 3, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
     def test_first_and_last_coefficients(self, n):
@@ -54,13 +69,13 @@ class TestRecTable:
 class TestSrecTable:
     def test_n3_by_hand(self):
         # q(q^2+1)(q^3+2) = q^6 + q^4 + 2q^3 + 2q
-        assert srec_table(3).coeffs == {1: 2, 2: 0, 3: 2, 4: 1, 5: 0, 6: 1}
+        assert srec_table(3).coeffs == (0, 2, 0, 2, 1, 0, 1)
 
     @pytest.mark.parametrize("n", [3, 4, 9, 30])
     def test_zero_positions(self, n):
         coeffs = srec_table(n).coeffs
         top = srec_max(n)
-        assert {k for k, v in coeffs.items() if v == 0} == {2, top - 1}
+        assert {k for k in range(1, top + 1) if coeffs[k] == 0} == {2, top - 1}
         assert coeffs[1] == math.factorial(n - 1)
         assert coeffs[top] == 1
 
@@ -85,7 +100,7 @@ class TestSrecTable:
                 factor = [j - 1] + [0] * (j - 1) + [1]
                 poly = polymul(poly, factor)
             table = srec_table(n)
-            assert poly == [table.coeffs.get(k, 0) for k in range(srec_max(n) + 1)]
+            assert poly == list(table.coeffs)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
