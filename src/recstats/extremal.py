@@ -10,6 +10,13 @@ be exact: the dynamic program below compares big-integer products
 directly, never logs, because ties and hairline margins (2v versus
 v + 2) decide real witnesses.
 
+The DP keeps one value row of n(n+1)/2 entries (the minimal products)
+plus, for each j, n(n+1)/2 bits saying whether j is taken; the
+witness is backtracked from those bits alone.  Memory is O(n^2) big
+integers plus O(n^3) bits (under 8 MB of bits at the cap), and the
+time is about n^3/3 big-integer products, so n is capped at
+EXTREMAL_LIMIT = 500 before anything is allocated.
+
 For k <= n the minimum is k - 1, realized by (1, k-1).  For larger k
 the threshold index i_0(n, k), the greatest i with
 k - 1 >= n + (n-1) + ... + (n-i), squeezes m(n, k) between
@@ -26,6 +33,11 @@ from typing import Sequence
 
 from .tables import srec_max
 from .temme import log_gamma
+
+# min_product's DP costs about n^3/3 big-integer products and n^3/2 bits
+EXTREMAL_LIMIT = 500
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True)
@@ -50,6 +62,8 @@ class GammaBounds:
 def _check_feasible(n: int, k: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > EXTREMAL_LIMIT:
+        raise ValueError(f"the minimum-product DP is limited to n <= {EXTREMAL_LIMIT}, got {n}")
     top = srec_max(n)
     if not 1 <= k <= top:
         raise ValueError(f"k={k} outside [1, {top}] for n={n}")
@@ -58,27 +72,33 @@ def _check_feasible(n: int, k: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def _dp_rows(n: int) -> list[list[int | None]]:
-    """rows[j][s]: minimal product of a subset of {j, ..., n} summing to s.
+def _dp_table(n: int) -> tuple[list[int | None], list[int]]:
+    """Subset-sum DP over {2, ..., n}: the minimal products and where j is taken.
 
-    Entries are None when s is unreachable; the empty subset gives
-    rows[j][0] = 1.  Index j runs 2..n+1 (rows[0], rows[1] unused).
+    ``best[s]`` is the minimal product of a subset of {2, ..., n} summing
+    to s (None when no subset does; the empty one gives best[0] = 1).
+    Bit s of ``taken[j]`` is set when some optimal subset of {j, ..., n}
+    summing to s contains j.  Elements are offered from n down to 2 and
+    s runs downward, so best[s - j] still excludes j when it is read;
+    the ``<=`` keeps j on ties, which the backtrack in min_product needs.
     """
-    top = srec_max(n) - 1
-    base: list[int | None] = [None] * (top + 1)
-    base[0] = 1
-    rows = [base] * (n + 2)
+    total = srec_max(n)
+    best: list[int | None] = [None] * total
+    best[0] = 1
+    taken = [0] * (n + 1)
     for j in range(n, 1, -1):
-        prev = rows[j + 1]
-        cur = prev[:]
-        for s in range(j, top + 1):
-            reach = prev[s - j]
+        mark = bytearray(total)
+        # subsets of {j, ..., n} sum to at most total - (j-1)j/2
+        for s in range(total - srec_max(j - 1), j - 1, -1):
+            reach = best[s - j]
             if reach is not None:
                 cand = reach * j
-                if cur[s] is None or cand < cur[s]:
-                    cur[s] = cand
-        rows[j] = cur
-    return rows
+                cur = best[s]
+                if cur is None or cand <= cur:
+                    best[s] = cand
+                    mark[s] = 1
+        taken[j] = int(mark[::-1].translate(_BITS), 2)
+    return best, taken
 
 
 def min_product(n: int, k: int) -> ExtremalResult:
@@ -94,17 +114,16 @@ def min_product(n: int, k: int) -> ExtremalResult:
     (1, 6)
     """
     _check_feasible(n, k)
-    rows = _dp_rows(n)
+    best, taken = _dp_table(n)
     s = k - 1
-    m = rows[2][s]
+    m = best[s]
     if m is None:
         raise ValueError(f"k={k} is infeasible for n={n}")  # unreachable after _check_feasible
     witness = [1]
     for j in range(2, n + 1):
         if s == 0:
             break
-        nxt = rows[j + 1]
-        if s >= j and nxt[s - j] is not None and nxt[s - j] * j == rows[j][s]:
+        if taken[j] >> s & 1:
             witness.append(j)
             s -= j
     return ExtremalResult(n, k, m, tuple(witness))

@@ -65,6 +65,8 @@ class CountTable:
         return sum(self.coeffs)
 
     def __getitem__(self, k: int) -> int:
+        if k < 0:
+            raise IndexError(f"k={k} is negative")
         return self.coeffs[k]
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from recstats.cli import main
+from recstats.extremal import EXTREMAL_LIMIT, _check_feasible
 from recstats.tables import srec_max
 
 
@@ -126,6 +127,18 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "\n" not in err.strip()
+
+    @pytest.mark.parametrize("argv", [("--n", "1800", "--k", "5"), ("--n", "501", "--k", "3")])
+    def test_min_product_n_cap(self, capsys, argv):
+        code, out, err = run(capsys, "min-product", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(EXTREMAL_LIMIT) in err
+        assert "Traceback" not in err and "\n" not in err.strip()
+
+    def test_min_product_cap_admits_limit(self):
+        # checked without running the DP at n = 500
+        _check_feasible(EXTREMAL_LIMIT, 3)
 
     def test_bad_permutation(self, capsys):
         code, _, err = run(capsys, "records", "--perm", "1,1,2")

@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
+from recstats import extremal
 from recstats.extremal import (
     format_witness,
     gamma_bounds,
@@ -26,6 +28,42 @@ def brute_minimum(n: int, k: int) -> tuple[int, tuple[int, ...]]:
                     best = candidate
     assert best is not None
     return best
+
+
+def full_table_minimum(n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """(m, witness) for every feasible k from the full-table DP.
+
+    rows[j][s] is the minimal product of a subset of {j, ..., n} summing
+    to s; all n + 1 rows are kept and the backtrack keeps j whenever
+    rows[j + 1][s - j] * j reaches rows[j][s].
+    """
+    total = srec_max(n)
+    base: list[int | None] = [None] * total
+    base[0] = 1
+    rows = [base] * (n + 2)
+    for j in range(n, 1, -1):
+        prev = rows[j + 1]
+        cur = prev[:]
+        for s in range(j, total):
+            reach = prev[s - j]
+            if reach is not None:
+                cand = reach * j
+                if cur[s] is None or cand < cur[s]:
+                    cur[s] = cand
+        rows[j] = cur
+    results = {}
+    for k in range(1, total + 1):
+        if k == 2 or k == total - 1:
+            continue
+        s = k - 1
+        witness = [1]
+        for j in range(2, n + 1):
+            nxt = rows[j + 1]
+            if s >= j and nxt[s - j] is not None and nxt[s - j] * j == rows[j][s]:
+                witness.append(j)
+                s -= j
+        results[k] = (rows[2][k - 1], tuple(witness))
+    return results
 
 
 class TestMinProduct:
@@ -57,6 +95,27 @@ class TestMinProduct:
             assert (got.m, got.witness) == brute_minimum(n, k)
             assert math.prod(got.witness) == got.m
             assert sum(got.witness) == k
+
+    def test_matches_full_table_oracle(self):
+        # brute force stops at n = 15; past it the full-table DP is the reference
+        for n in range(16, 61):
+            for k, expected in full_table_minimum(n).items():
+                got = min_product(n, k)
+                assert (got.m, got.witness) == expected, f"n={n}, k={k}"
+
+    def test_dp_memory_stays_quadratic(self):
+        # The full-table DP peaked at 11.9 MB under tracemalloc (CPython 3.11.7);
+        # one value row plus packed bits peaks at about 0.4 MB.  The bound is
+        # 1/8 of the former.
+        extremal._dp_table.cache_clear()
+        tracemalloc.start()
+        try:
+            min_product(100, srec_max(100) // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            extremal._dp_table.cache_clear()
+        assert peak < 1.5e6, f"min_product(100, k) peaked at {peak / 1e6:.2f} MB"
 
     def test_structure_small_k(self):
         for n in range(3, 31):

@@ -30,6 +30,14 @@ class TestCountTable:
         with pytest.raises(ValueError):
             CountTable(3, SREC, (0, 2, 3, 1))
 
+    def test_index_outside_row_raises(self):
+        for table in (rec_table(5), srec_table(5)):
+            top = len(table.coeffs) - 1
+            assert table[top] == 1
+            for k in (-1, -2, -top - 1, top + 1):
+                with pytest.raises(IndexError):
+                    table[k]
+
 
 class TestRecTable:
     def test_n1(self):
