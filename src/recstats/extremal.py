@@ -79,8 +79,12 @@ def _dp_table(n: int) -> tuple[list[int | None], list[int]]:
     to s (None when no subset does; the empty one gives best[0] = 1).
     Bit s of ``taken[j]`` is set when some optimal subset of {j, ..., n}
     summing to s contains j.  Elements are offered from n down to 2 and
-    s runs downward, so best[s - j] still excludes j when it is read;
-    the ``<=`` keeps j on ties, which the backtrack in min_product needs.
+    s runs downward, so best[s - j] still excludes j when it is read.
+    The ``<=`` keeps j on ties, so the backtrack in min_product can pick
+    the lexicographically smallest witness.  No (j, s) with optimal
+    subsets both with and without j was found for n <= 120 (``<`` gives
+    the same witnesses there), so the rule is a safeguard that no test
+    can tell apart from ``<``.
     """
     total = srec_max(n)
     best: list[int | None] = [None] * total
@@ -104,9 +108,11 @@ def _dp_table(n: int) -> tuple[list[int | None], list[int]]:
 def min_product(n: int, k: int) -> ExtremalResult:
     """Exact m(n, k) with a witness, by subset-sum DP over {2, ..., n}.
 
-    When several tuples share the minimal product the lexicographically
+    If several tuples share the minimal product, the lexicographically
     smallest one is returned: the backtrack walks elements upward and
-    keeps j whenever some optimal subset contains it.
+    keeps j whenever some optimal subset contains it.  Such ties were not
+    found for n <= 120, so this rule is a safeguard rather than a
+    behaviour the tests can observe.
 
     >>> min_product(6, 12)
     ExtremalResult(n=6, k=12, m=30, witness=(1, 5, 6))

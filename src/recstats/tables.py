@@ -99,13 +99,9 @@ def iter_srec_rows(n_max: int) -> Iterator[tuple[int, list[int]]]:
     yield 1, row
     for n in range(2, n_max + 1):
         prev = row
-        prev_max = srec_max(n - 1)
-        row = [0] * (srec_max(n) + 1)
-        for k in range(1, srec_max(n) + 1):
-            v = (n - 1) * prev[k] if k <= prev_max else 0
-            if 1 <= k - n <= prev_max:
-                v += prev[k - n]
-            row[k] = v
+        m = n - 1
+        # C(n, k) = (n-1) C(n-1, k) + C(n-1, k-n), both zero outside the old row
+        row = [m * a + b for a, b in zip(prev + [0] * n, [0] * (n + 1) + prev[1:])]
         yield n, row
 
 

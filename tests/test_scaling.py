@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from recstats.scaling import (
+    DeviationReport,
     _segments,
     curve_csv,
     curve_samples,
@@ -15,7 +16,57 @@ from recstats.scaling import (
     tau_csv,
     tau_series,
 )
-from recstats.tables import REC, SREC, big_ln, rec_table, srec_max, srec_table
+from recstats.tables import REC, SREC, CountTable, big_ln, rec_table, srec_max, srec_table
+
+
+def full_scan_sup(n: int, stat: str, row) -> DeviationReport:
+    """Oracle: both endpoints of every constant segment, in order, first maximum kept."""
+    n_ln_n = n * math.log(n)
+    best_dev = -1.0
+    best_x = 0.0
+    for x_lo, x_hi, value in _segments(n, stat, row):
+        y = big_ln(value) / n_ln_n
+        for x in (x_lo, x_hi):
+            dev = abs(y - target_value(stat, x))
+            if dev > best_dev:
+                best_dev = dev
+                best_x = x
+    return DeviationReport(n, stat, best_dev, best_dev * math.log(n), best_x)
+
+
+def scan_row(n: int, stat: str, row) -> DeviationReport:
+    return sup_deviation(n, stat, table=CountTable(n, stat, tuple(row)))
+
+
+def int_with_scaled_log(target: float, n_ln_n: float) -> int | None:
+    """A positive int v with big_ln(v) / n_ln_n == target exactly, if one is near."""
+    v = int(math.exp(target * n_ln_n))
+    step = max(v >> 56, 1)
+    for j in range(-4096, 4096):
+        if big_ln(v + j * step) / n_ln_n == target:
+            return v + j * step
+    return None
+
+
+def planted_rec_row(n: int, k: int, value: int, x: float) -> list[int] | None:
+    """Rec row near the target curve, with ``value`` at k and a tie at x = 1.
+
+    Every other middle value is the power of two nearest the target at
+    its segment's midpoint.  The last value is chosen so that its
+    deviation at x = 1 equals the planted one at ``x`` exactly; the
+    first-maximum rule must then report ``x``, the earlier of the two.
+    """
+    n_ln_n = n * math.log(n)
+    row = [0] * (n + 1)
+    for j in range(1, n):
+        row[j] = 1 << round(target_value(REC, (j + 0.5) / n) * n_ln_n / math.log(2))
+    row[k] = value
+    dev = abs(big_ln(value) / n_ln_n - target_value(REC, x))
+    last = int_with_scaled_log(dev, n_ln_n)
+    if last is None:
+        return None
+    row[n] = last
+    return row
 
 
 class TestStepFunctions:
@@ -118,6 +169,90 @@ class TestSupDeviation:
             sup_deviation(5, REC, table=rec_table(6))
         with pytest.raises(ValueError):
             sup_deviation(5, REC, table=srec_table(5))
+
+
+class TestPrunedScanMatchesFullScan:
+    """The block-pruned scan in sup_deviation against the full scan, report for report."""
+
+    def test_rec_rows(self, rec_rows_300):
+        for n in range(2, 301):
+            assert scan_row(n, REC, rec_rows_300[n]) == full_scan_sup(n, REC, rec_rows_300[n])
+
+    def test_srec_rows(self, srec_rows_150):
+        for n in range(2, 151):
+            row = srec_rows_150[n]
+            assert scan_row(n, SREC, row) == full_scan_sup(n, SREC, row)
+
+    def test_random_rows(self):
+        rng = random.Random(2008)
+        for stat in (REC, SREC):
+            for n in list(range(2, 12)) + [rng.randrange(12, 70) for _ in range(30)]:
+                top = n if stat == REC else srec_max(n)
+                max_bits = int(1.5 * n * math.log(n) / math.log(2)) + 2
+                wild = [0] + [rng.getrandbits(rng.randrange(1, max_bits)) + 1 for _ in range(top)]
+                # values within a few binades of the target, as in real rows
+                near = [0]
+                for k in range(1, top + 1):
+                    bits = target_value(stat, (k + 0.5) / (top + 1)) * n * math.log(n) / math.log(2)
+                    near.append(rng.getrandbits(max(1, round(bits) + rng.randrange(-3, 4))) + 1)
+                for row in (wild, near):
+                    assert scan_row(n, stat, row) == full_scan_sup(n, stat, row)
+
+    def test_constant_rows(self):
+        # adjacent segments share an endpoint and a value, so every
+        # interior endpoint ties with its neighbour
+        for stat in (REC, SREC):
+            for n in (2, 3, 9, 40):
+                top = n if stat == REC else srec_max(n)
+                for value in (1, 2, 3**50, 1 << 200):
+                    row = [0] + [value] * top
+                    assert scan_row(n, stat, row) == full_scan_sup(n, stat, row)
+
+    def test_planted_below_target(self):
+        # A power of two 2^m at the first segment of a block (blocks of
+        # isqrt(n - 1) + 1 middle segments from k = 1), far below the
+        # target: the block's lower y bound m ln 2 is attained there.
+        cases = 0
+        for n in range(30, 46):
+            n_ln_n = n * math.log(n)
+            size = math.isqrt(n - 1) + 1
+            k = 1 + (n // 2 // size) * size
+            for m in range(int(0.15 * n_ln_n / math.log(2)), int(0.3 * n_ln_n / math.log(2))):
+                row = planted_rec_row(n, k, 1 << m, k / n)
+                if row is None:
+                    continue
+                expected = full_scan_sup(n, REC, row)
+                assert expected.argmax_x == k / n
+                assert scan_row(n, REC, row) == expected
+                cases += 1
+        assert cases > 100
+
+    def test_planted_above_target(self):
+        # 2^b - 1 at the last segment of a block, far above the target.
+        # For some b its float log is one ulp above the float b * ln 2
+        # that bounds the block, which only the slack makes up for.
+        cases = 0
+        for n in range(30, 46):
+            n_ln_n = n * math.log(n)
+            size = math.isqrt(n - 1) + 1
+            k = (n // 2 // size) * size
+            for b in range(int(0.75 * n_ln_n / math.log(2)), int(0.9 * n_ln_n / math.log(2))):
+                row = planted_rec_row(n, k, (1 << b) - 1, (k + 1) / n)
+                if row is None:
+                    continue
+                expected = full_scan_sup(n, REC, row)
+                assert expected.argmax_x == (k + 1) / n
+                assert scan_row(n, REC, row) == expected
+                cases += 1
+        assert cases > 100
+
+    def test_zero_in_middle_still_raises(self):
+        # k = 17 sits in a block whose bound is below the first segment's
+        # deviation, so the scan would skip it but for the up-front check
+        row = [0] + [2**40] * 20
+        row[17] = 0
+        with pytest.raises(ValueError):
+            scan_row(20, REC, row)
 
 
 class TestTauSeries:
