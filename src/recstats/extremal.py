@@ -10,12 +10,17 @@ be exact: the dynamic program below compares big-integer products
 directly, never logs, because ties and hairline margins (2v versus
 v + 2) decide real witnesses.
 
-The DP keeps one value row of n(n+1)/2 entries (the minimal products)
-plus, for each j, n(n+1)/2 bits saying whether j is taken; the
-witness is backtracked from those bits alone.  Memory is O(n^2) big
-integers plus O(n^3) bits (under 8 MB of bits at the cap), and the
-time is about n^3/3 big-integer products, so n is capped at
-EXTREMAL_LIMIT = 500 before anything is allocated.
+The DP fills the sums s = 0..k-1 only: it keeps one value row of k
+entries (the minimal products) plus, for each j, k bits saying whether
+j is taken; the witness is backtracked from those bits alone.  A
+prefix of the table is exact, because best[s] reads only smaller sums.
+So k <= n costs about k^2/2 big-integer products, and the worst case,
+k near n(n+1)/2, costs about n^3/3 products and O(n^2) big integers
+plus O(n^3) bits (under 8 MB of bits at the cap).  That worst case
+caps n at EXTREMAL_LIMIT = 500, checked before anything is allocated.
+One table per n is cached for the 8 most recent n; a call that needs
+a larger sum than the cached table holds rebuilds it to at least twice
+the cached limit, so a sweep over every k at one n costs a few builds.
 
 For k <= n the minimum is k - 1, realized by (1, k-1).  For larger k
 the threshold index i_0(n, k), the greatest i with
@@ -27,15 +32,18 @@ C(n, k) between Gamma(n-i_0)/(n e^n) and 2^n Gamma(n-i_0).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .tables import srec_max
 from .temme import log_gamma
 
-# min_product's DP costs about n^3/3 big-integer products and n^3/2 bits
+# min_product's DP fills sums up to k - 1; the cap is set by its worst
+# case, k near n(n+1)/2: about n^3/3 big-integer products and n^3/2 bits
 EXTREMAL_LIMIT = 500
+# DP tables kept, one per n
+_TABLES_KEPT = 8
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
@@ -71,15 +79,18 @@ def _check_feasible(n: int, k: int) -> None:
         raise ValueError(f"k={k} is infeasible for n={n}: no admissible tuple exists")
 
 
-@lru_cache(maxsize=8)
-def _dp_table(n: int) -> tuple[list[int | None], list[int]]:
-    """Subset-sum DP over {2, ..., n}: the minimal products and where j is taken.
+def _dp_table(n: int, limit: int) -> tuple[list[int | None], list[int]]:
+    """Subset-sum DP over {2, ..., n} for the sums s = 0..limit.
 
     ``best[s]`` is the minimal product of a subset of {2, ..., n} summing
     to s (None when no subset does; the empty one gives best[0] = 1).
     Bit s of ``taken[j]`` is set when some optimal subset of {j, ..., n}
     summing to s contains j.  Elements are offered from n down to 2 and
     s runs downward, so best[s - j] still excludes j when it is read.
+    Since best[s] reads only best[s - j] below it, a table filled to any
+    limit agrees with the full one (limit = n(n+1)/2 - 1) at every
+    s <= limit, in ``best`` and in every ``taken`` bit.  The work is at
+    most (n - 1)(limit + 1) cells, about limit^2/2 when limit < n.
     The ``<=`` keeps j on ties, so the backtrack in min_product can pick
     the lexicographically smallest witness.  No (j, s) with optimal
     subsets both with and without j was found for n <= 120 (``<`` gives
@@ -87,13 +98,14 @@ def _dp_table(n: int) -> tuple[list[int | None], list[int]]:
     can tell apart from ``<``.
     """
     total = srec_max(n)
-    best: list[int | None] = [None] * total
+    best: list[int | None] = [None] * (limit + 1)
     best[0] = 1
     taken = [0] * (n + 1)
     for j in range(n, 1, -1):
-        mark = bytearray(total)
         # subsets of {j, ..., n} sum to at most total - (j-1)j/2
-        for s in range(total - srec_max(j - 1), j - 1, -1):
+        top = min(limit, total - srec_max(j - 1))
+        mark = bytearray(top + 1)
+        for s in range(top, j - 1, -1):
             reach = best[s - j]
             if reach is not None:
                 cand = reach * j
@@ -105,14 +117,38 @@ def _dp_table(n: int) -> tuple[list[int | None], list[int]]:
     return best, taken
 
 
+# n -> (limit, best, taken), least recently used first
+_tables: OrderedDict[int, tuple[int, list[int | None], list[int]]] = OrderedDict()
+
+
+def _table_for(n: int, s: int) -> tuple[list[int | None], list[int]]:
+    """The cached DP table of n, filled at least to the sum s.
+
+    One table per n is kept, for the _TABLES_KEPT most recently used n.
+    A table filled below s is rebuilt to max(s, twice its limit), capped
+    at the full n(n+1)/2 - 1, so a sweep over every k at one n costs a
+    few builds rather than one per k.
+    """
+    entry = _tables.pop(n, None)
+    if entry is None or entry[0] < s:
+        limit = s if entry is None else min(srec_max(n) - 1, max(s, 2 * entry[0]))
+        entry = (limit, *_dp_table(n, limit))
+    _tables[n] = entry
+    if len(_tables) > _TABLES_KEPT:
+        _tables.popitem(last=False)
+    return entry[1], entry[2]
+
+
 def min_product(n: int, k: int) -> ExtremalResult:
     """Exact m(n, k) with a witness, by subset-sum DP over {2, ..., n}.
 
-    If several tuples share the minimal product, the lexicographically
-    smallest one is returned: the backtrack walks elements upward and
-    keeps j whenever some optimal subset contains it.  Such ties were not
-    found for n <= 120, so this rule is a safeguard rather than a
-    behaviour the tests can observe.
+    The DP is filled only up to the sum k - 1, so k <= n costs about
+    k^2/2 products and the full n^3/3 is reached only for k near
+    n(n+1)/2.  If several tuples share the minimal product, the
+    lexicographically smallest one is returned: the backtrack walks
+    elements upward and keeps j whenever some optimal subset contains
+    it.  Such ties were not found for n <= 120, so this rule is a
+    safeguard rather than a behaviour the tests can observe.
 
     >>> min_product(6, 12)
     ExtremalResult(n=6, k=12, m=30, witness=(1, 5, 6))
@@ -120,8 +156,8 @@ def min_product(n: int, k: int) -> ExtremalResult:
     (1, 6)
     """
     _check_feasible(n, k)
-    best, taken = _dp_table(n)
     s = k - 1
+    best, taken = _table_for(n, s)
     m = best[s]
     if m is None:
         raise ValueError(f"k={k} is infeasible for n={n}")  # unreachable after _check_feasible

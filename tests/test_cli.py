@@ -1,14 +1,17 @@
 import contextlib
+import io
 import json
 import math
 import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recstats.cli import main
-from recstats.extremal import EXTREMAL_LIMIT, _check_feasible
-from recstats.tables import srec_max
+from recstats.extremal import EXTREMAL_LIMIT, _check_feasible, gamma_bounds
+from recstats.tables import big_ln, srec_max
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -136,9 +139,23 @@ class TestErrors:
         assert err.startswith("error:") and str(EXTREMAL_LIMIT) in err
         assert "Traceback" not in err and "\n" not in err.strip()
 
-    def test_min_product_cap_admits_limit(self):
-        # checked without running the DP at n = 500
+    def test_min_product_cap_admits_limit(self, capsys):
         _check_feasible(EXTREMAL_LIMIT, 3)
+        # the DP fills sums up to k - 1 only, so small k at the cap is cheap
+        n = str(EXTREMAL_LIMIT)
+        code, out, err = run(capsys, "min-product", "--n", n, "--k", "500")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["n,k,m,witness", "500,500,499,1+499"]
+        code, out, err = run(capsys, "min-product", "--n", n, "--k", "1000")
+        assert (code, err) == (0, "")
+        row_n, row_k, m_text, witness_text = out.splitlines()[1].split(",")
+        assert (row_n, row_k) == (n, "1000")
+        witness = [int(v) for v in witness_text.split("+")]
+        assert witness[0] == 1 and witness[-1] <= EXTREMAL_LIMIT
+        assert all(a < b for a, b in zip(witness, witness[1:]))
+        assert sum(witness) == 1000 and math.prod(witness) == int(m_text)
+        bounds = gamma_bounds(EXTREMAL_LIMIT, 1000)
+        assert bounds.log_lower - 1e-9 <= big_ln(int(m_text)) <= bounds.log_upper + 1e-9
 
     def test_bad_permutation(self, capsys):
         code, _, err = run(capsys, "records", "--perm", "1,1,2")
@@ -166,6 +183,89 @@ class TestErrors:
         code, out, _ = run(capsys, "verify", "--suite", "core")
         assert code == 1
         assert "FAIL" in out
+
+
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) with its streams captured; argparse's exit becomes the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Small inputs only (n <= 12): in range, out of range, infeasible and malformed.
+SMALL = st.integers(-1, 12).map(str)
+STAT = st.sampled_from(["rec", "srec", "max"])
+MARK = st.tuples(st.integers(0, 13), st.sampled_from(["Y", "N", "y", "X"])).map(
+    lambda item: f"{item[0]}:{item[1]}"
+)
+MARKS = st.one_of(
+    st.lists(MARK, max_size=3).map(",".join),
+    st.sampled_from(["2", "2:Y:3", ":", "a:Y", "2:Y,2:N", ","]),
+)
+PERM = st.one_of(
+    st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.lists(st.integers(-1, 8), max_size=8),
+).map(lambda values: ",".join(map(str, values)))
+MALFORMED = st.tuples(
+    st.sampled_from([["rec-table"], ["sample", "--seed", "1"], ["pattern"],
+                     ["curve", "--stat", "rec"], ["min-product", "--k", "3"],
+                     ["temme", "--m", "2"]]),
+    st.sampled_from(["", "x", "2.5", "1e3", "0x5"]),
+).map(lambda a: [*a[0], "--n", a[1]])
+
+
+def _optional(flag: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[str]]:
+    return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
+
+
+CLI_CALLS = st.one_of(
+    st.tuples(st.sampled_from(["rec-table", "srec-table"]), SMALL,
+              st.sampled_from(["csv", "json", "xml"])).map(
+        lambda a: [a[0], "--n", a[1], "--format", a[2]]),
+    PERM.map(lambda perm: ["records", "--perm", perm]),
+    st.tuples(SMALL, st.integers(-3, 3), _optional("--count", SMALL)).map(
+        lambda a: ["sample", "--n", a[0], "--seed", str(a[1]), *a[2]]),
+    st.tuples(SMALL, MARKS).map(lambda a: ["pattern", "--n", a[0], "--marks", a[1]]),
+    st.tuples(SMALL, st.integers(-1, 80).map(str)).map(
+        lambda a: ["min-product", "--n", a[0], "--k", a[1]]),
+    st.tuples(STAT, SMALL, _optional("--points", SMALL)).map(
+        lambda a: ["curve", "--stat", a[0], "--n", a[1], *a[2]]),
+    st.tuples(STAT, SMALL, SMALL).map(
+        lambda a: ["tau", "--stat", a[0], "--n-min", a[1], "--n-max", a[2]]),
+    st.tuples(STAT, SMALL).map(lambda a: ["deviation", "--stat", a[0], "--n", a[1]]),
+    st.tuples(SMALL, st.integers(-1, 13).map(str), st.booleans()).map(
+        lambda a: ["temme", "--n", a[0], "--m", a[1], *(["--compare"] if a[2] else [])]),
+    MALFORMED,
+)
+
+
+def assert_clean_exit(argv: list[str]) -> None:
+    code, _, err = run_captured(argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+
+class TestSmallInputsEndCleanly:
+    # every call exits 0 or 2; an exit 2 prints one error line and no traceback
+
+    @settings(max_examples=300)
+    @given(CLI_CALLS)
+    def test_subcommands(self, argv):
+        assert_clean_exit(argv)
+
+    @settings(max_examples=6)
+    @given(st.sampled_from(["core", "bounds", "scaling", "temme", "all", "none"]),
+           st.one_of(SMALL, st.just("x")))
+    def test_verify(self, suite, max_n):
+        assert_clean_exit(["verify", "--suite", suite, "--max-n", max_n])
 
 
 class TestOutputFiles:

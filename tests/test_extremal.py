@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -30,12 +31,11 @@ def brute_minimum(n: int, k: int) -> tuple[int, tuple[int, ...]]:
     return best
 
 
-def full_table_minimum(n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """(m, witness) for every feasible k from the full-table DP.
+def full_table_rows(n: int) -> list[list[int | None]]:
+    """rows[j][s]: minimal product of a subset of {j, ..., n} summing to s.
 
-    rows[j][s] is the minimal product of a subset of {j, ..., n} summing
-    to s; all n + 1 rows are kept and the backtrack keeps j whenever
-    rows[j + 1][s - j] * j reaches rows[j][s].
+    All n + 2 rows (rows[n + 1] holds only the empty subset) cover every
+    s = 0..n(n+1)/2 - 1.
     """
     total = srec_max(n)
     base: list[int | None] = [None] * total
@@ -51,19 +51,37 @@ def full_table_minimum(n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
                 if cur[s] is None or cand < cur[s]:
                     cur[s] = cand
         rows[j] = cur
+    return rows
+
+
+def j_reaches_minimum(rows: list[list[int | None]], j: int, s: int) -> bool:
+    """Whether some optimal subset of {j, ..., n} summing to s contains j."""
+    rest = rows[j + 1][s - j] if s >= j else None
+    return rest is not None and rest * j == rows[j][s]
+
+
+def full_table_minimum(n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """(m, witness) for every feasible k from the full-table DP.
+
+    The backtrack keeps j whenever rows[j + 1][s - j] * j reaches
+    rows[j][s].
+    """
+    rows = full_table_rows(n)
     results = {}
-    for k in range(1, total + 1):
-        if k == 2 or k == total - 1:
-            continue
+    for k in feasible_ks(n):
         s = k - 1
         witness = [1]
         for j in range(2, n + 1):
-            nxt = rows[j + 1]
-            if s >= j and nxt[s - j] is not None and nxt[s - j] * j == rows[j][s]:
+            if j_reaches_minimum(rows, j, s):
                 witness.append(j)
                 s -= j
         results[k] = (rows[2][k - 1], tuple(witness))
     return results
+
+
+def feasible_ks(n: int) -> list[int]:
+    top = srec_max(n)
+    return [k for k in range(1, top + 1) if k != 2 and k != top - 1]
 
 
 class TestMinProduct:
@@ -103,18 +121,51 @@ class TestMinProduct:
                 got = min_product(n, k)
                 assert (got.m, got.witness) == expected, f"n={n}, k={k}"
 
+    def test_prefix_matches_full_table(self):
+        # a table filled to any limit equals the full one on s <= limit
+        rng = random.Random(20)
+        for n in range(16, 61):
+            rows = full_table_rows(n)
+            total = srec_max(n)
+            full_taken = [
+                sum(1 << s for s in range(j, total) if j_reaches_minimum(rows, j, s))
+                if j >= 2 else 0
+                for j in range(n + 1)
+            ]
+            limits = {k - 1 for k in rng.sample(range(1, total + 1), 3)}
+            limits |= {(total // 3) | 1, total - 1}  # an odd limit > 1 and the full table
+            for limit in sorted(limits):
+                best, taken = extremal._dp_table(n, limit)
+                mask = (1 << (limit + 1)) - 1
+                assert best == rows[2][: limit + 1], f"n={n}, limit={limit}"
+                assert taken == [bits & mask for bits in full_taken], f"n={n}, limit={limit}"
+
+    @pytest.mark.parametrize("n", [30, 45])
+    def test_results_do_not_depend_on_call_order(self, n):
+        # a table grown by doubling answers as a cold one does
+        ks = feasible_ks(n)
+        extremal._tables.clear()
+        ascending = {k: min_product(n, k) for k in ks}
+        shuffled = ks[:]
+        random.Random(n).shuffle(shuffled)
+        extremal._tables.clear()
+        assert {k: min_product(n, k) for k in shuffled} == ascending
+        for k in random.Random(n + 1).sample(ks, 8):
+            extremal._tables.clear()
+            assert min_product(n, k) == ascending[k]
+
     def test_dp_memory_stays_quadratic(self):
         # The full-table DP peaked at 11.9 MB under tracemalloc (CPython 3.11.7);
         # one value row plus packed bits peaks at about 0.4 MB.  The bound is
         # 1/8 of the former.
-        extremal._dp_table.cache_clear()
+        extremal._tables.clear()
         tracemalloc.start()
         try:
             min_product(100, srec_max(100) // 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            extremal._dp_table.cache_clear()
+            extremal._tables.clear()
         assert peak < 1.5e6, f"min_product(100, k) peaked at {peak / 1e6:.2f} MB"
 
     def test_structure_small_k(self):
