@@ -34,7 +34,9 @@ print("\nbrute force over 6! permutations matches both rows")
 # throughout and decimal strings in the JSON export.
 big = rec_table(150)
 print(f"\nc(150, 1) has {len(str(big.coeffs[1]))} digits")
+# The exports yield text chunks, a block of rows at a time, so a writer
+# never holds the whole document; join them to get it as one string.
 print("\nCSV export of the n=3 srec row (zeros kept, they are structural):")
-print(table_csv(srec_table(3)))
+print("".join(table_csv(srec_table(3))))
 print("JSON export of the n=3 rec row (counts as decimal strings):")
-print(table_json(rec_table(3)))
+print("".join(table_json(rec_table(3))))

@@ -5,30 +5,44 @@ Every subcommand is deterministic given its flags, writes either to
 stdout or atomically to ``--output`` (temp file plus rename, so a
 failed run leaves no partial file), and exits 0 on success, 2 on a
 usage error, 1 on a verification failure or I/O problem.
+
+The table exports stream: rows go out a block at a time as they are
+formatted, so peak memory is about two count rows (while the last row
+is built), not the whole document.  Stdout is therefore written
+progressively, and a failure mid-run can leave part of a table there;
+only ``--output`` is atomic.  A reader that closes the pipe early (say
+``| head``) ends the run with one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import tempfile
+from typing import Iterable
 
 from . import extremal, probabilities, scaling, tables, temme, verify
 from .perm import Permutation, records, sample_uniform_many
 from .tables import REC, SREC
 
 
-def _write(document: str, path: str | None) -> None:
+def _write(chunks: Iterable[str], path: str | None) -> None:
+    """Write the text chunks, in order, to stdout or atomically to ``path``."""
     if path is None:
-        sys.stdout.write(document)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        # surface a closed pipe here, inside main, not at interpreter exit
+        sys.stdout.flush()
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".recstats-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(document)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -66,54 +80,51 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _write(tables.table_csv(table), args.output)
     else:
-        _write(tables.table_json(table) + "\n", args.output)
+        _write(itertools.chain(tables.table_json(table), ("\n",)), args.output)
     return 0
 
 
 def _cmd_records(args: argparse.Namespace) -> int:
     profile = records(Permutation.from_string(args.perm))
-    _write(
-        json.dumps(
-            {"positions": list(profile.positions), "rec": profile.rec, "srec": profile.srec}
-        )
-        + "\n",
-        args.output,
+    document = json.dumps(
+        {"positions": list(profile.positions), "rec": profile.rec, "srec": profile.srec}
     )
+    _write((document + "\n",), args.output)
     return 0
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     permutations = sample_uniform_many(args.n, args.seed, args.count)
-    _write("".join(f"{p}\n" for p in permutations), args.output)
+    _write(("".join(f"{p}\n" for p in permutations),), args.output)
     return 0
 
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
     spec = probabilities.PatternSpec(args.n, _parse_marks(args.marks))
-    _write(probabilities.format_fraction(probabilities.pattern_probability(spec)) + "\n",
-           args.output)
+    probability = probabilities.format_fraction(probabilities.pattern_probability(spec))
+    _write((probability + "\n",), args.output)
     return 0
 
 
 def _cmd_min_product(args: argparse.Namespace) -> int:
-    _write(extremal.extremal_csv([extremal.min_product(args.n, args.k)]), args.output)
+    _write((extremal.extremal_csv([extremal.min_product(args.n, args.k)]),), args.output)
     return 0
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     curve = scaling.curve_samples(args.n, args.stat, args.points)
-    _write(scaling.curve_csv(curve), args.output)
+    _write((scaling.curve_csv(curve),), args.output)
     return 0
 
 
 def _cmd_tau(args: argparse.Namespace) -> int:
     reports = scaling.tau_series(args.stat, args.n_min, args.n_max)
-    _write(scaling.tau_csv(reports), args.output)
+    _write((scaling.tau_csv(reports),), args.output)
     return 0
 
 
 def _cmd_deviation(args: argparse.Namespace) -> int:
-    _write(scaling.tau_csv([scaling.sup_deviation(args.n, args.stat)]), args.output)
+    _write((scaling.tau_csv([scaling.sup_deviation(args.n, args.stat)]),), args.output)
     return 0
 
 
@@ -122,7 +133,7 @@ def _cmd_temme(args: argparse.Namespace) -> int:
     log_exact = None
     if args.compare:
         log_exact = tables.big_ln(tables.rec_table(args.n).coeffs[args.m])
-    _write(temme.estimate_csv([(estimate, log_exact)]), args.output)
+    _write((temme.estimate_csv([(estimate, log_exact)]),), args.output)
     return 0
 
 
@@ -194,6 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point fd 1 at the null device, so the interpreter's final flush of
+    output the closed pipe never took does not fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # stdout is not a file here
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Exact counts and denominators outgrow CPython's int->str digit
@@ -206,6 +231,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _silence_stdout()
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

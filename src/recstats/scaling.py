@@ -95,7 +95,9 @@ def target_value(stat: str, x: float) -> float:
     return 1.0 - x if stat == REC else math.sqrt(1.0 - x)
 
 
-@lru_cache(maxsize=32)
+# one rec and one srec row at the same n: all that curve, deviation and
+# verify reuse; a sweep over n keeps no more than these two rows alive
+@lru_cache(maxsize=2)
 def _cached_table(n: int, stat: str) -> CountTable:
     return rec_table(n) if stat == REC else srec_table(n)
 

@@ -1,17 +1,25 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recstats import tables
 from recstats.cli import main
 from recstats.extremal import EXTREMAL_LIMIT, _check_feasible, gamma_bounds
 from recstats.tables import big_ln, srec_max
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -290,6 +298,139 @@ class TestOutputFiles:
         assert code == 0
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + srec_max(9)
+
+    @pytest.mark.parametrize("error,code", [(ValueError("synthetic"), 2), (OSError("synthetic"), 1)])
+    def test_failure_mid_stream_keeps_old_file(self, capsys, monkeypatch, tmp_path, error, code):
+        path = tmp_path / "row.csv"
+        path.write_bytes(b"old bytes\n")
+
+        def failing_csv(table):
+            yield "n,k,count\n"
+            yield f"{table.n},1,{table.coeffs[1]}\n"
+            raise error
+
+        monkeypatch.setattr(tables, "table_csv", failing_csv)
+        got, out, err = run(capsys, "rec-table", "--n", "4", "--output", str(path))
+        assert (got, out, err) == (code, "", "error: synthetic\n")
+        assert path.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["row.csv"]
+
+
+def assert_closed_pipe_error(code: int, err: str) -> None:
+    assert code == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+class TestStreaming:
+    # stdout block-buffered, as it is by default for a pipe
+    ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+           "PYTHONPATH": str(ROOT / "src")}
+
+    def test_reader_closes_the_pipe_mid_table(self):
+        # the row is about 1 MB, far more than a pipe buffers, so the
+        # writer is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "recstats.cli", "srec-table", "--n", "120"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV,
+        )
+        try:
+            assert proc.stdout.readline() == b"n,k,count\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert_closed_pipe_error(code, err)
+
+    def test_reader_gone_before_the_first_write(self):
+        # a small document sits in the stdout buffer until main flushes
+        # it; the flush at interpreter exit must not fail a second time
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "recstats.cli", "rec-table", "--n", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, env=self.ENV, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert_closed_pipe_error(proc.returncode, proc.stderr.decode())
+
+    def test_export_memory_tracks_the_row_not_the_document(self, monkeypatch, tmp_path):
+        # what the export allocates on top of the finished row peaks below
+        # the size of the file; building the whole document costs several
+        # times the file
+        build = tables.srec_table
+        row_bytes = []
+
+        def built_then_measured(n):
+            table = build(n)
+            row_bytes.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return table
+
+        monkeypatch.setattr(tables, "srec_table", built_then_measured)
+        path = tmp_path / "srec.csv"
+        tracemalloc.start()
+        try:
+            code = main(["srec-table", "--n", "110", "--output", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak - row_bytes[0] < path.stat().st_size
+
+
+# SHA-256 of each call's output, recorded before the table exports were
+# streamed; stdout and --output must both give these bytes
+GOLDEN = [
+    ("rec-table --n 1 --format csv", "b6aac3b086917bb535849e74aa47be355b2a1e123a41aea56fdd8d9704c101c0"),
+    ("rec-table --n 2 --format csv", "3e9da9acd5d1a645e09c2bc2ad755b172a2df5ce876dc6767579e4209ea2ccff"),
+    ("rec-table --n 3 --format csv", "ea6afc19be54f4077562c439635d1bcdc51a4f82b0dda3d71158821365871e58"),
+    ("rec-table --n 30 --format csv", "118de9808ef1161b00efe733b45ee25c3eebdd5b8c0d22dd03d30c457c019677"),
+    ("rec-table --n 1 --format json", "53916795a3711698baa039e64b2a542f1a5244b74e3d76c5dc22ceaf1baad1fd"),
+    ("rec-table --n 2 --format json", "0c0c4f6f0e4e859c53fff2e3656582d47af0dcdd15ffe800d86b97a24e427a26"),
+    ("rec-table --n 3 --format json", "7821587bd16af03b4b3d8917f8a923e1942ace95f97cebd74831b2292ec5f269"),
+    ("rec-table --n 30 --format json", "d5cf0bd4a65bb63cb9c0222497589698fd9c3ff7721f21804a92b3cecb2b4054"),
+    ("srec-table --n 1 --format csv", "b6aac3b086917bb535849e74aa47be355b2a1e123a41aea56fdd8d9704c101c0"),
+    ("srec-table --n 2 --format csv", "1d3fb62168705c5985d0f6a94a785bd639e3dd8a2e8662028feba0718f9cb734"),
+    ("srec-table --n 3 --format csv", "b12940529f16d8a5e9933922449b7c867ccf3f3a660d4cc91a502980e477f258"),
+    ("srec-table --n 30 --format csv", "f8294efc52846d6afd3bd2618a7184235c15d6e32a9e870267cadb57c891e5ea"),
+    ("srec-table --n 1 --format json", "7a29234c1db414a8c17e6f8f70a41b0513036a806934f9166c4315bdf0bad565"),
+    ("srec-table --n 2 --format json", "0b38d87bf7afb799b229a1da3ac81c07510d97115f67c35585c4e2ac6e775630"),
+    ("srec-table --n 3 --format json", "63d02a6178412538d2cc5b5625d8c21f555790138e37a779f7c2101d4f2ed54c"),
+    ("srec-table --n 30 --format json", "92b1aef8de1391b50bde5a45844d1e2c3cfb4606d81c388d991e4f4ce573a77a"),
+    ("records --perm 4,7,5,1,6,8,2,3", "7243f4365985c290e680cebe00ed1e308cdf2fa527d0e4f24b2a8da991c79a01"),
+    ("sample --n 9 --seed 5 --count 4", "0b0705521982554995146f76f1bd4bdcec56a87c8b40d2a42e69479bf5acfe8f"),
+    ("tau --stat srec --n-min 2 --n-max 12", "f97f9bd4aa94fb731e1d7b6b518bea5749faa99ca5d85e97bd3dd1ea4313610a"),
+    ("tau --stat rec --n-min 2 --n-max 12", "000c8fd4734fa93713819b8d6025458e3f11e78439509b3ec2bc6c27cf546a5f"),
+    ("curve --stat srec --n 12 --points 5", "f6f2aadd137c87eabd980ab925f27eaf12b329b7dffe2ab947ca4acdfbbde242"),
+    ("curve --stat rec --n 9", "b009b1237f53f96fa53a68f0495fd439977b52af6540b584fb8c3ab8123acbad"),
+    ("deviation --stat srec --n 10", "5d1d719121aaf178c5a31d619373d8fa3439ef04e2903e97e243e79bd11b6867"),
+    ("deviation --stat rec --n 10", "d7c504fac0b9ea759a9f9d2179f11d8c375ca78db58e818daff6f2741f2b3ccb"),
+    ("min-product --n 8 --k 20", "c688ea10b39a400009f46a821d8dff117a5903615f0d85a7c61d3a7a0f6061b0"),
+    ("min-product --n 8 --k 6", "164f023c95f4e04540c74e6bd279e502cd42f9941a0a21f4b14ece92fef543f0"),
+    ("temme --n 20 --m 10 --compare", "017dcf996fd97d5caf9bdf159d48fb143f2bbbc4baef192acf897978d33fb71b"),
+    ("pattern --n 9 --marks 3:Y,7:N", "deb06017aca190593507507dabb8ca60cafce258058a8968212a6176a6019abe"),
+]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("argv,digest", GOLDEN)
+    def test_stdout(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,digest", GOLDEN)
+    def test_output_file(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "out"
+        code, out, err = run(capsys, *argv.split(), "--output", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestLongDecimals:

@@ -6,6 +6,7 @@ import pytest
 
 from recstats.scaling import (
     DeviationReport,
+    _cached_table,
     _segments,
     curve_csv,
     curve_samples,
@@ -110,6 +111,12 @@ class TestStepFunctions:
             row = rec_table(n)
             for k in range(1, n + 1):
                 assert fn_value(n, k / n) == row.coeffs[k]
+
+    def test_sweep_over_n_keeps_two_rows(self):
+        _cached_table.cache_clear()
+        for n in range(20, 61):
+            assert phin_value(n, 0.5) == srec_table(n).coeffs[math.floor(srec_max(n) * 0.5)]
+            assert _cached_table.cache_info().currsize <= 2
 
 
 class TestSegments:

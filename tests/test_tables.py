@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from recstats import tables
 from recstats.tables import (
     REC,
     SREC,
@@ -149,19 +150,61 @@ class TestBigLn:
 
 class TestExports:
     def test_rec_csv_n1_single_row(self):
-        assert table_csv(rec_table(1)) == "n,k,count\n1,1,1\n"
+        assert "".join(table_csv(rec_table(1))) == "n,k,count\n1,1,1\n"
 
     def test_srec_csv_keeps_zeros(self):
-        lines = table_csv(srec_table(3)).splitlines()
+        lines = "".join(table_csv(srec_table(3))).splitlines()
         assert lines[0] == "n,k,count"
         assert lines[1:] == ["3,1,2", "3,2,0", "3,3,2", "3,4,1", "3,5,0", "3,6,1"]
 
     def test_json_uses_decimal_strings(self):
-        doc = json.loads(table_json(srec_table(50)))
+        doc = json.loads("".join(table_json(srec_table(50))))
         assert doc["n"] == 50 and doc["kind"] == SREC
         assert doc["coeffs"]["1"] == str(math.factorial(49))
         assert all(isinstance(v, str) for v in doc["coeffs"].values())
 
     def test_rec_json_content(self):
-        doc = json.loads(table_json(rec_table(3)))
+        doc = json.loads("".join(table_json(rec_table(3))))
         assert doc == {"n": 3, "kind": REC, "coeffs": {"1": "2", "2": "3", "3": "1"}}
+
+
+def dumps_reference(table: CountTable) -> str:
+    """The JSON export as json.dumps writes it, from a test-side dict."""
+    coeffs = {str(k): str(table.coeffs[k]) for k in range(1, len(table.coeffs))}
+    return json.dumps({"n": table.n, "kind": table.kind, "coeffs": coeffs})
+
+
+def csv_reference(table: CountTable) -> str:
+    lines = ["n,k,count"] + [f"{table.n},{k},{table.coeffs[k]}"
+                             for k in range(1, len(table.coeffs))]
+    return "\n".join(lines) + "\n"
+
+
+SMALL_ROWS = [(kind, n) for kind in (REC, SREC) for n in range(1, 13)]
+
+
+class TestStreamedExports:
+    # the chunks joined are the whole document, byte for byte
+
+    @pytest.mark.parametrize("kind,n", SMALL_ROWS + [(REC, 150), (SREC, 40), (SREC, 50)])
+    def test_json_matches_json_dumps(self, kind, n):
+        table = rec_table(n) if kind == REC else srec_table(n)
+        assert "".join(table_json(table)) == dumps_reference(table)
+
+    @pytest.mark.parametrize("kind,n", SMALL_ROWS + [(SREC, 50)])
+    def test_csv_matches_joined_lines(self, kind, n):
+        table = rec_table(n) if kind == REC else srec_table(n)
+        assert "".join(table_csv(table)) == csv_reference(table)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 7])
+    def test_block_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(tables, "EXPORT_BLOCK", block)
+        for table in (rec_table(7), srec_table(5)):
+            assert "".join(table_json(table)) == dumps_reference(table)
+            assert "".join(table_csv(table)) == csv_reference(table)
+
+    def test_one_chunk_per_block(self):
+        table = srec_table(50)  # 1275 exported rows
+        blocks = -(-srec_max(50) // tables.EXPORT_BLOCK)
+        assert len(list(table_csv(table))) == 1 + blocks
+        assert len(list(table_json(table))) == 2 + blocks
