@@ -23,6 +23,7 @@ from .extremal import (
 from .perm import (
     Permutation,
     RecordProfile,
+    iter_uniform,
     lehmer_decode,
     lehmer_encode,
     records,
@@ -52,6 +53,7 @@ from .tables import (
     CountTable,
     big_ln,
     brute_force_tables,
+    rec_count,
     rec_table,
     srec_max,
     srec_table,
@@ -89,6 +91,7 @@ __all__ = [
     "gamma_bounds",
     "i0_closed",
     "i0_greedy",
+    "iter_uniform",
     "lehmer_decode",
     "lehmer_encode",
     "log_gamma",
@@ -98,6 +101,7 @@ __all__ = [
     "phin_value",
     "rec_prob_bounds",
     "rec_prob_sum",
+    "rec_count",
     "rec_table",
     "records",
     "sample_uniform",

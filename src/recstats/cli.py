@@ -132,7 +132,7 @@ def _cmd_temme(args: argparse.Namespace) -> int:
     estimate = temme.temme_estimate(args.n, args.m)
     log_exact = None
     if args.compare:
-        log_exact = tables.big_ln(tables.rec_table(args.n).coeffs[args.m])
+        log_exact = tables.big_ln(tables.rec_count(args.n, args.m))
     _write((temme.estimate_csv([(estimate, log_exact)]),), args.output)
     return 0
 

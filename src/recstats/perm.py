@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -135,20 +136,20 @@ def lehmer_decode(code: tuple[int, ...]) -> Permutation:
     >>> lehmer_decode((0, 0, 0)).entries
     (1, 2, 3)
     """
-    n = len(code)
+    return _decode(code, tuple(range(1, len(code) + 1)))
+
+
+def _decode(code: tuple[int, ...], values: tuple[int, ...]) -> Permutation:
+    # values is (1, ..., n); the decoded entries are those very int objects,
+    # so draws that share one values tuple share their entries' ints
     for i, r in enumerate(code, start=1):
         if not isinstance(r, int) or not 0 <= r <= i - 1:
             raise ValueError(f"code digit r_{i}={r} outside [0, {i - 1}]")
-    remaining = list(range(1, n + 1))
-    out = [0] * n
-    for i in range(n, 0, -1):
+    remaining = list(values)
+    out = [0] * len(code)
+    for i in range(len(code), 0, -1):
         out[i - 1] = remaining.pop(len(remaining) - 1 - code[i - 1])
     return Permutation(tuple(out))
-
-
-def _draw(rng: random.Random, n: int) -> Permutation:
-    # independent digits r_i uniform on [0, i-1], then decode
-    return lehmer_decode(tuple(rng.randrange(i) for i in range(1, n + 1)))
 
 
 def sample_uniform(n: int, seed: int) -> Permutation:
@@ -159,16 +160,27 @@ def sample_uniform(n: int, seed: int) -> Permutation:
     i = 1..n in order and the digits are decoded, so the output is
     reproducible across runs and platforms.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _draw(random.Random(seed), n)
+    return next(iter_uniform(n, seed, 1))
 
 
-def sample_uniform_many(n: int, seed: int, count: int) -> list[Permutation]:
-    """``count`` permutations drawn from the single stream seeded once."""
+def iter_uniform(n: int, seed: int, count: int) -> Iterator[Permutation]:
+    """``count`` permutations drawn from the single stream seeded once, one at a time.
+
+    :func:`sample_uniform` is the first draw.  All draws decode into the
+    same value objects, and the arguments are checked when the first
+    permutation is requested.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = random.Random(seed)
-    return [_draw(rng, n) for _ in range(count)]
+    values = tuple(range(1, n + 1))
+    for _ in range(count):
+        # independent digits r_i uniform on [0, i-1], then decode
+        yield _decode(tuple(rng.randrange(i) for i in range(1, n + 1)), values)
+
+
+def sample_uniform_many(n: int, seed: int, count: int) -> list[Permutation]:
+    """``count`` permutations drawn from the single stream seeded once."""
+    return list(iter_uniform(n, seed, count))

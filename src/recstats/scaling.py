@@ -255,9 +255,9 @@ def sup_deviation(n: int, stat: str, table: CountTable | None = None) -> Deviati
 def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """DeviationReport for every n in [n_min, n_max], ascending.
 
-    Rows are built once, incrementally, and each row is scanned as soon
-    as it is built, so one row is alive at a time (plus its predecessor
-    while the next one is built).
+    Rows are built once, incrementally, in one list updated in place,
+    and each row is scanned before the next one overwrites it, so one
+    row is alive at a time.
     """
     _check_stat(stat)
     if not 2 <= n_min <= n_max:

@@ -12,6 +12,11 @@ exact big-integer operations:
     c(n, k) = c(n-1, k-1) + (n-1) * c(n-1, k)
     C(n, k) = C(n-1, k-n) + (n-1) * C(n-1, k)
 
+Both read only lower indices of the previous row, so the row iterators
+sweep k downward through one list and update it in place: one row is
+alive at a time.  ``rec_count`` runs the same sweep over just the band
+of k that a single c(n, k) depends on.
+
 Rows are stored densely, indexed by k from 0: a REC row covers k in
 [0, n], an SREC row covers k in [0, n(n+1)/2].  Entry 0 is always zero,
 and SREC rows keep their zeros, which sit exactly at k = 2 and
@@ -78,30 +83,42 @@ def _check_n(n: int) -> None:
 def iter_rec_rows(n_max: int) -> Iterator[tuple[int, list[int]]]:
     """Yield (n, dense REC row indexed 0..n) for n = 1..n_max.
 
-    The yielded lists are fresh; callers may keep or mutate them.
+    Every step yields the same list, updated in place to the next row,
+    so one row is alive at a time; copy a row to keep it past the next
+    ``next()``.
     """
     _check_n(n_max)
     row = [0, 1]
     yield 1, row
     for n in range(2, n_max + 1):
-        prev = row
-        row = [0] * (n + 1)
-        for k in range(1, n):
-            row[k] = prev[k - 1] + (n - 1) * prev[k]
-        row[n] = prev[n - 1]
+        m = n - 1
+        # c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k); a downward sweep over k
+        # reads each old entry before it is overwritten
+        row.append(row[m])
+        for k in range(m, 0, -1):
+            row[k] = row[k - 1] + m * row[k]
         yield n, row
 
 
 def iter_srec_rows(n_max: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (n, dense SREC row indexed 0..n(n+1)/2) for n = 1..n_max."""
+    """Yield (n, dense SREC row indexed 0..n(n+1)/2) for n = 1..n_max.
+
+    Every step yields the same list, updated in place to the next row,
+    so one row is alive at a time; copy a row to keep it past the next
+    ``next()``.
+    """
     _check_n(n_max)
     row = [0, 1]
     yield 1, row
     for n in range(2, n_max + 1):
-        prev = row
         m = n - 1
-        # C(n, k) = (n-1) C(n-1, k) + C(n-1, k-n), both zero outside the old row
-        row = [m * a + b for a, b in zip(prev + [0] * n, [0] * (n + 1) + prev[1:])]
+        row.extend([0] * n)
+        # C(n, k) = (n-1) C(n-1, k) + C(n-1, k-n), swept downward over k;
+        # the second term is zero for k <= n (and row[k - n] would wrap there)
+        for k in range(len(row) - 1, n, -1):
+            row[k] = m * row[k] + row[k - n]
+        for k in range(n, 0, -1):
+            row[k] *= m
         yield n, row
 
 
@@ -131,6 +148,29 @@ def srec_table(n: int) -> CountTable:
     _check_n(n)
     row = _last(iter_srec_rows(n))
     return CountTable(n, SREC, tuple(row))
+
+
+def rec_count(n: int, k: int) -> int:
+    """The single count c(n, k), for k in [0, n], without the rest of its row.
+
+    The recurrence of :func:`iter_rec_rows` runs over the band c(n, k)
+    depends on: row j keeps k' in [max(1, k - (n - j)), min(j, k)], so
+    about k (n - k) products instead of n^2 / 2.
+
+    >>> rec_count(3, 2)
+    3
+    """
+    _check_n(n)
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, {n}], got {k}")
+    row = [0] * (k + 1)
+    if k:
+        row[1] = 1
+    for j in range(2, n + 1):
+        m = j - 1
+        for i in range(min(j, k), max(1, k - (n - j)) - 1, -1):
+            row[i] = row[i - 1] + m * row[i]
+    return row[k]
 
 
 def brute_force_tables(n: int) -> tuple[CountTable, CountTable]:

@@ -14,10 +14,10 @@ settings.load_profile("ci")
 @pytest.fixture(scope="session")
 def rec_rows_300() -> dict[int, list[int]]:
     """Dense rec rows for n = 1..300, built once per session."""
-    return {n: row for n, row in iter_rec_rows(300)}
+    return {n: list(row) for n, row in iter_rec_rows(300)}
 
 
 @pytest.fixture(scope="session")
 def srec_rows_150() -> dict[int, list[int]]:
     """Dense srec rows for n = 1..150, built once per session."""
-    return {n: row for n, row in iter_srec_rows(150)}
+    return {n: list(row) for n, row in iter_srec_rows(150)}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from recstats.perm import (
     Permutation,
+    iter_uniform,
     lehmer_decode,
     lehmer_encode,
     records,
@@ -137,6 +138,22 @@ class TestSampling:
     def test_output_is_valid_permutation(self, n, seed):
         p = sample_uniform(n, seed)
         assert sorted(p.entries) == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("n,seed,count", [(1, 0, 3), (6, 7, 5), (40, 99, 20), (300, 2**40, 4)])
+    def test_iter_uniform_is_the_list_stream(self, n, seed, count):
+        assert list(iter_uniform(n, seed, count)) == sample_uniform_many(n, seed, count)
+        assert next(iter_uniform(n, seed, 1)) == sample_uniform(n, seed)
+
+    def test_draws_share_value_objects(self):
+        a, b = sample_uniform_many(1000, 3, 2)
+        assert all(x is y for x, y in zip(sorted(a.entries), sorted(b.entries)))
+
+    def test_stream_rejects_bad_arguments(self):
+        for n, count in ((0, 1), (3, -1)):
+            with pytest.raises(ValueError):
+                sample_uniform_many(n, 1, count)
+            with pytest.raises(ValueError):
+                next(iter_uniform(n, 1, count))
 
     def test_rec_distribution_matches_exact_row(self):
         # exact row for n=4 from brute force: c(4, k) = 6, 11, 6, 1

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -10,6 +12,9 @@ from recstats.tables import (
     CountTable,
     big_ln,
     brute_force_tables,
+    iter_rec_rows,
+    iter_srec_rows,
+    rec_count,
     rec_table,
     srec_max,
     srec_table,
@@ -114,6 +119,52 @@ class TestSrecTable:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             srec_table(0)
+
+
+class TestRowIterators:
+    @pytest.mark.parametrize("rows,pick", [(iter_rec_rows, 0), (iter_srec_rows, 1)])
+    def test_one_list_updated_in_place(self, rows, pick):
+        generator = rows(40)
+        _, first = next(generator)
+        for n, row in generator:
+            assert row is first
+            if n <= 8:
+                assert tuple(row) == brute_force_tables(n)[pick].coeffs
+            assert sum(row) == math.factorial(n)
+
+    @pytest.mark.parametrize("build,n", [(srec_table, 120), (rec_table, 600)])
+    def test_peak_memory_is_about_one_row(self, build, n):
+        # building the next row beside the previous one peaked at about
+        # two rows (2.24x for srec n = 120, 2.02x for rec n = 600)
+        tracemalloc.start()
+        try:
+            table = build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes = sys.getsizeof(table.coeffs) + sum(map(sys.getsizeof, table.coeffs))
+        assert peak <= 1.5 * row_bytes, f"peak {peak / row_bytes:.2f} rows"
+
+
+class TestRecCount:
+    def test_every_k_small_n(self):
+        for n in range(1, 61):
+            coeffs = rec_table(n).coeffs
+            assert [rec_count(n, k) for k in range(n + 1)] == list(coeffs)
+
+    def test_every_k_n300(self, rec_rows_300):
+        assert [rec_count(300, k) for k in range(301)] == rec_rows_300[300]
+
+    @pytest.mark.parametrize("n", [1, 2, 97, 800])
+    def test_edges(self, n):
+        assert rec_count(n, 0) == 0
+        assert rec_count(n, 1) == math.factorial(n - 1)
+        assert rec_count(n, n) == 1
+
+    def test_rejects_k_outside_row(self):
+        for n, k in ((0, 0), (5, -1), (5, 6)):
+            with pytest.raises(ValueError):
+                rec_count(n, k)
 
 
 class TestBruteForce:
