@@ -10,17 +10,20 @@ be exact: the dynamic program below compares big-integer products
 directly, never logs, because ties and hairline margins (2v versus
 v + 2) decide real witnesses.
 
-The DP fills the sums s = 0..k-1 only: it keeps one value row of k
-entries (the minimal products) plus, for each j, k bits saying whether
-j is taken; the witness is backtracked from those bits alone.  A
-prefix of the table is exact, because best[s] reads only smaller sums.
-So k <= n costs about k^2/2 big-integer products, and the worst case,
-k near n(n+1)/2, costs about n^3/3 products and O(n^2) big integers
-plus O(n^3) bits (under 8 MB of bits at the cap).  That worst case
-caps n at EXTREMAL_LIMIT = 500, checked before anything is allocated.
-One table per n is cached for the 8 most recent n; a call that needs
-a larger sum than the cached table holds rebuilds it to at least twice
-the cached limit, so a sweep over every k at one n costs a few builds.
+The DP keeps one value row (the minimal products) plus, for each j,
+bits saying whether j is taken; the witness is backtracked from those
+bits alone.  A cold call fills only the band of cells that can still
+reach the sum k - 1: at level j, the sums s that {j, ..., n} can form
+and that {2, ..., j-1} can still lift to k - 1.  So k <= n costs about
+k^2/2 big-integer products, the widest cold band, at k near n(n+1)/4,
+about 0.29 of the full table's n^3/3, and k near n(n+1)/2 is nearly
+free.  The full table, n^3/3 products, O(n^2) big integers and O(n^3)
+bits (under 8 MB of bits at the cap), is still reached by a sweep over
+many k, whose cached window grows to cover them all; it caps n at
+EXTREMAL_LIMIT = 500, checked before anything is allocated.  One table
+per n is cached for the 8 most recent n; a call whose sum lies outside
+the cached window rebuilds it with at least twice the width, so a
+sweep over every k at one n, in any order, costs a few builds.
 
 For k <= n the minimum is k - 1, realized by (1, k-1).  For larger k
 the threshold index i_0(n, k), the greatest i with
@@ -31,6 +34,9 @@ C(n, k) between Gamma(n-i_0)/(n e^n) and 2^n Gamma(n-i_0).
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -39,8 +45,9 @@ from typing import Sequence
 from .tables import srec_max
 from .temme import log_gamma
 
-# min_product's DP fills sums up to k - 1; the cap is set by its worst
-# case, k near n(n+1)/2: about n^3/3 big-integer products and n^3/2 bits
+# A cold min_product fills only the band of sums that can reach k - 1, at
+# most about 0.29 of n^3/3 products; the cap is set by the full table, which
+# a sweep over many k still grows to: about n^3/3 products and n^3/2 bits
 EXTREMAL_LIMIT = 500
 # DP tables kept, one per n
 _TABLES_KEPT = 8
@@ -79,71 +86,93 @@ def _check_feasible(n: int, k: int) -> None:
         raise ValueError(f"k={k} is infeasible for n={n}: no admissible tuple exists")
 
 
-def _dp_table(n: int, limit: int) -> tuple[list[int | None], list[int]]:
-    """Subset-sum DP over {2, ..., n} for the sums s = 0..limit.
+def _dp_table(
+    n: int, limit: int, low: int = 0
+) -> tuple[list[int | None], list[int]]:
+    """Subset-sum DP over {2, ..., n} for the window of sums [low, limit].
 
     ``best[s]`` is the minimal product of a subset of {2, ..., n} summing
     to s (None when no subset does; the empty one gives best[0] = 1).
     Bit s of ``taken[j]`` is set when some optimal subset of {j, ..., n}
     summing to s contains j.  Elements are offered from n down to 2 and
     s runs downward, so best[s - j] still excludes j when it is read.
-    Since best[s] reads only best[s - j] below it, a table filled to any
-    limit agrees with the full one (limit = n(n+1)/2 - 1) at every
-    s <= limit, in ``best`` and in every ``taken`` bit.  The work is at
-    most (n - 1)(limit + 1) cells, about limit^2/2 when limit < n.
-    The ``<=`` keeps j on ties, so the backtrack in min_product can pick
-    the lexicographically smallest witness.  No (j, s) with optimal
-    subsets both with and without j was found for n <= 120 (``<`` gives
-    the same witnesses there), so the rule is a safeguard that no test
-    can tell apart from ``<``.
+
+    Level j fills only its band: the sums that subsets of {j, ..., n}
+    can reach (at most total - srec_max(j-1)) and that {2, ..., j-1},
+    which adds at most srec_max(j-1) - 1, can still lift to low.  The
+    band at level j reads best[s - j] with s - j >= low - srec_max(j) + 1,
+    inside the band of level j + 1, so every cell of a band is exact:
+    ``best[s]`` and every ``taken`` bit agree with the full table
+    (low = 0, limit = n(n+1)/2 - 1) for s in [low, limit] and inside
+    band j, and ``taken[j]`` is zero below band j.  The backtrack in
+    min_product from any s in [low, limit] stays inside the bands.  With
+    low = 0 this is the prefix table, about limit^2/2 cells when
+    limit < n; a single sum (low = limit = k - 1) costs at most about
+    0.29 n^3/3 cells, at k near n(n+1)/4, and few near n(n+1)/2.
+    The ``<=`` keeps j on ties, so the backtrack can pick the
+    lexicographically smallest witness.  No (j, s) with optimal subsets
+    both with and without j was found for n <= 120 (``<`` gives the
+    same witnesses there), so the rule is a safeguard that no test can
+    tell apart from ``<``.
     """
     total = srec_max(n)
     best: list[int | None] = [None] * (limit + 1)
     best[0] = 1
     taken = [0] * (n + 1)
     for j in range(n, 1, -1):
-        # subsets of {j, ..., n} sum to at most total - (j-1)j/2
-        top = min(limit, total - srec_max(j - 1))
-        mark = bytearray(top + 1)
-        for s in range(top, j - 1, -1):
+        rest = srec_max(j - 1)  # {2, ..., j-1} adds at most rest - 1
+        top = min(limit, total - rest)
+        bottom = max(j, low - rest + 1)
+        if top < bottom:
+            continue
+        mark = bytearray(top - bottom + 1)
+        for s in range(top, bottom - 1, -1):
             reach = best[s - j]
             if reach is not None:
                 cand = reach * j
                 cur = best[s]
                 if cur is None or cand <= cur:
                     best[s] = cand
-                    mark[s] = 1
-        taken[j] = int(mark[::-1].translate(_BITS), 2)
+                    mark[s - bottom] = 1
+        taken[j] = int(mark[::-1].translate(_BITS), 2) << bottom
     return best, taken
 
 
-# n -> (limit, best, taken), least recently used first
-_tables: OrderedDict[int, tuple[int, list[int | None], list[int]]] = OrderedDict()
+# n -> (low, limit, best, taken), least recently used first
+_tables: OrderedDict[int, tuple[int, int, list[int | None], list[int]]] = OrderedDict()
 
 
 def _table_for(n: int, s: int) -> tuple[list[int | None], list[int]]:
-    """The cached DP table of n, filled at least to the sum s.
+    """The cached DP table of n, exact at the sum s.
 
     One table per n is kept, for the _TABLES_KEPT most recently used n.
-    A table filled below s is rebuilt to max(s, twice its limit), capped
-    at the full n(n+1)/2 - 1, so a sweep over every k at one n costs a
-    few builds rather than one per k.
+    A cold call builds the single sum [s, s].  A table whose window
+    [low, limit] misses s is rebuilt to cover s with the window widened
+    by its old width on both sides (clipped to [0, n(n+1)/2 - 1]), so
+    its width at least doubles and a sweep over every k at one n, in
+    any order, costs a few builds rather than one per k.
     """
     entry = _tables.pop(n, None)
-    if entry is None or entry[0] < s:
-        limit = s if entry is None else min(srec_max(n) - 1, max(s, 2 * entry[0]))
-        entry = (limit, *_dp_table(n, limit))
+    if entry is None:
+        entry = (s, s, *_dp_table(n, s, s))
+    elif not entry[0] <= s <= entry[1]:
+        low, limit = entry[0], entry[1]
+        width = limit - low + 1
+        low = max(0, min(s, low) - width)
+        limit = min(srec_max(n) - 1, max(s, limit) + width)
+        entry = (low, limit, *_dp_table(n, limit, low))
     _tables[n] = entry
     if len(_tables) > _TABLES_KEPT:
         _tables.popitem(last=False)
-    return entry[1], entry[2]
+    return entry[2], entry[3]
 
 
 def min_product(n: int, k: int) -> ExtremalResult:
     """Exact m(n, k) with a witness, by subset-sum DP over {2, ..., n}.
 
-    The DP is filled only up to the sum k - 1, so k <= n costs about
-    k^2/2 products and the full n^3/3 is reached only for k near
+    A cold call fills only the cells from which the sum k - 1 is still
+    reachable: about k^2/2 products for k <= n, at most about 0.29 of
+    the full table's n^3/3, at k near n(n+1)/4, and few for k near
     n(n+1)/2.  If several tuples share the minimal product, the
     lexicographically smallest one is returned: the backtrack walks
     elements upward and keeps j whenever some optimal subset contains
@@ -178,36 +207,40 @@ def _check_i0_domain(n: int, k: int) -> None:
         raise ValueError(f"i0 requires n+1 <= k <= n(n+1)/2, got n={n}, k={k}")
 
 
+@functools.lru_cache(maxsize=8)
+def _descending_sums(n: int) -> tuple[int, ...]:
+    """n, n + (n-1), ..., n + (n-1) + ... + 1."""
+    return tuple(itertools.accumulate(range(n, 0, -1)))
+
+
 def i0_greedy(n: int, k: int) -> int:
-    """Greatest i with k - 1 >= n + (n-1) + ... + (n-i), by accumulation."""
+    """Greatest i with k - 1 >= n + (n-1) + ... + (n-i), by a bisect.
+
+    It searches the partial sums n, n + (n-1), ..., independently of the
+    closed form; the last of them, n(n+1)/2, exceeds k - 1, so i <= n - 2.
+    """
     _check_i0_domain(n, k)
-    total = n
-    i = 0
-    while i < n - 1 and total + (n - i - 1) <= k - 1:
-        i += 1
-        total += n - i
-    return i
+    return bisect.bisect_right(_descending_sums(n), k - 1) - 1
 
 
 def i0_closed(n: int, k: int) -> int:
-    """Closed form floor((2n - 1 - sqrt(4n^2 + 4n - 8k + 9)) / 2).
+    """Closed form floor((2n - 1 - sqrt(R)) / 2), R = 4n^2 + 4n - 8k + 9.
 
-    Uses the exact integer square root: the radicand is a perfect
-    square at both ends of the k range (k = n+1 and k = n(n+1)/2), the
-    classic spot where a float floor goes off by one.
+    Evaluated exactly as (2n - 2 - isqrt(R - 1)) // 2.  R is odd, so when
+    it is a perfect square, as at both ends of the k range (k = n+1 and
+    k = n(n+1)/2, the classic spot where a float floor goes off by one),
+    its root is odd and isqrt(R - 1) is that root minus 1; otherwise
+    isqrt(R - 1) = floor(sqrt(R)).  Both cases give the floor.
 
     >>> [i0_closed(10, k) for k in (11, 27, 55)]
     [0, 1, 8]
     """
-    _check_i0_domain(n, k)
-    radicand = 4 * n * n + 4 * n - 8 * k + 9
-    if radicand < 0:
-        raise ValueError("negative radicand; k out of range")  # impossible within domain
-    root = math.isqrt(radicand)
-    if root * root == radicand:
-        return (2 * n - 1 - root) // 2
-    # true sqrt lies in (root, root+1): floor drops by one when parity lands even
-    return (2 * n - 2 - root) // 2
+    # _check_i0_domain inlined: the checks call this millions of times
+    if n < 4:
+        raise ValueError("i0 requires n >= 4")
+    if not n + 1 <= k <= n * (n + 1) // 2:
+        raise ValueError(f"i0 requires n+1 <= k <= n(n+1)/2, got n={n}, k={k}")
+    return (2 * n - 2 - math.isqrt(4 * n * n + 4 * n - 8 * k + 8)) // 2
 
 
 def gamma_bounds(n: int, k: int) -> GammaBounds:

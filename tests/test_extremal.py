@@ -140,6 +140,40 @@ class TestMinProduct:
                 assert best == rows[2][: limit + 1], f"n={n}, limit={limit}"
                 assert taken == [bits & mask for bits in full_taken], f"n={n}, limit={limit}"
 
+    def test_window_matches_full_table(self):
+        # a window [low, limit] is exact on its sums and fills only band j of level j
+        rng = random.Random(8)
+        for n in range(16, 61):
+            rows = full_table_rows(n)
+            total = srec_max(n)
+            full_taken = [
+                sum(1 << s for s in range(j, total) if j_reaches_minimum(rows, j, s))
+                if j >= 2 else 0
+                for j in range(n + 1)
+            ]
+            target = rng.randrange(total)
+            start = rng.randrange(total)
+            windows = {(target, target), (start, rng.randrange(start, total)),
+                       (0, rng.randrange(total)), (total - 1, total - 1)}
+            for low, limit in sorted(windows):
+                best, taken = extremal._dp_table(n, limit, low)
+                assert best[low:] == rows[2][low : limit + 1], f"n={n}, window=[{low}, {limit}]"
+                for j in range(2, n + 1):
+                    rest = srec_max(j - 1)
+                    bottom = max(j, low - rest + 1)
+                    top = min(limit, total - rest)
+                    band = ((1 << (top + 1)) - (1 << bottom)) if top >= bottom else 0
+                    assert taken[j] == full_taken[j] & band, f"n={n}, window=[{low}, {limit}], j={j}"
+
+    def test_cold_calls_match_full_table_oracle(self):
+        # each call builds its own single-sum window
+        for n in range(16, 41):
+            for k, expected in full_table_minimum(n).items():
+                extremal._tables.clear()
+                got = min_product(n, k)
+                assert (got.m, got.witness) == expected, f"n={n}, k={k}"
+        extremal._tables.clear()
+
     @pytest.mark.parametrize("n", [30, 45])
     def test_results_do_not_depend_on_call_order(self, n):
         # a table grown by doubling answers as a cold one does
@@ -150,6 +184,8 @@ class TestMinProduct:
         random.Random(n).shuffle(shuffled)
         extremal._tables.clear()
         assert {k: min_product(n, k) for k in shuffled} == ascending
+        extremal._tables.clear()
+        assert {k: min_product(n, k) for k in reversed(ks)} == ascending
         for k in random.Random(n + 1).sample(ks, 8):
             extremal._tables.clear()
             assert min_product(n, k) == ascending[k]
@@ -202,6 +238,15 @@ class TestThresholdIndex:
         for n in (4, 13, 50):
             assert i0_closed(n, n + 1) == 0
             assert i0_closed(n, srec_max(n)) == n - 2
+
+    def test_greedy_matches_accumulation(self):
+        for n in range(4, 61):
+            total, i = n, 0
+            for k in range(n + 1, srec_max(n) + 1):
+                while total + (n - i - 1) <= k - 1:
+                    i += 1
+                    total += n - i
+                assert i0_greedy(n, k) == i, f"n={n}, k={k}"
 
     def test_forms_agree_exhaustively(self):
         for n in range(4, 61):
