@@ -21,9 +21,11 @@ free.  The full table, n^3/3 products, O(n^2) big integers and O(n^3)
 bits (under 8 MB of bits at the cap), is still reached by a sweep over
 many k, whose cached window grows to cover them all; it caps n at
 EXTREMAL_LIMIT = 500, checked before anything is allocated.  One table
-per n is cached for the 8 most recent n; a call whose sum lies outside
-the cached window rebuilds it with at least twice the width, so a
-sweep over every k at one n, in any order, costs a few builds.
+per n is cached, least recently used dropped first while the cached
+value rows together exceed srec_max(EXTREMAL_LIMIT) entries, about one
+full table at the cap; a call whose sum lies outside the cached window
+rebuilds it with at least twice the width, so a sweep over every k at
+one n, in any order, costs a few builds.
 
 For k <= n the minimum is k - 1, realized by (1, k-1).  For larger k
 the threshold index i_0(n, k), the greatest i with
@@ -49,8 +51,6 @@ from .temme import log_gamma
 # most about 0.29 of n^3/3 products; the cap is set by the full table, which
 # a sweep over many k still grows to: about n^3/3 products and n^3/2 bits
 EXTREMAL_LIMIT = 500
-# DP tables kept, one per n
-_TABLES_KEPT = 8
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
@@ -145,7 +145,10 @@ _tables: OrderedDict[int, tuple[int, int, list[int | None], list[int]]] = Ordere
 def _table_for(n: int, s: int) -> tuple[list[int | None], list[int]]:
     """The cached DP table of n, exact at the sum s.
 
-    One table per n is kept, for the _TABLES_KEPT most recently used n.
+    One table per n is kept.  Least recently used tables are dropped
+    while the kept ``best`` lists together hold more than
+    srec_max(EXTREMAL_LIMIT) entries, about one full table at the cap;
+    the table just used, at most srec_max(n) entries, always stays.
     A cold call builds the single sum [s, s].  A table whose window
     [low, limit] misses s is rebuilt to cover s with the window widened
     by its old width on both sides (clipped to [0, n(n+1)/2 - 1]), so
@@ -162,7 +165,7 @@ def _table_for(n: int, s: int) -> tuple[list[int | None], list[int]]:
         limit = min(srec_max(n) - 1, max(s, limit) + width)
         entry = (low, limit, *_dp_table(n, limit, low))
     _tables[n] = entry
-    if len(_tables) > _TABLES_KEPT:
+    while sum(len(kept[2]) for kept in _tables.values()) > srec_max(EXTREMAL_LIMIT):
         _tables.popitem(last=False)
     return entry[2], entry[3]
 

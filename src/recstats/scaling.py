@@ -24,9 +24,13 @@ bounded series certifying the uniform convergence rate.
 Most segments cannot hold the sup, and a cheap bound skips them.  The
 deviations of the first and last segments give a lower bound ``best``
 on the sup.  The middle segments are cut into blocks of about sqrt(len)
-segments.  A value v of bit length b has (b - 1) ln 2 <= ln v < b ln 2,
-so the bit lengths bracket every y = ln v / (n ln n) in a block between
-y_min and y_max.  Since the target T decreases, no endpoint in the
+segments, and each block of the row is sliced and bounded in one pass.
+A value v of bit length b has (b - 1) ln 2 <= ln v < b ln 2, and bit
+length never decreases as a positive int grows, so the bit lengths of
+the block's smallest and largest values bracket every y = ln v / (n ln n)
+in it between y_min and y_max.  A smallest value below 1 raises
+big_ln's ValueError right there, before the block can be skipped (bit
+lengths ignore sign).  Since the target T decreases, no endpoint in the
 block deviates by more than max(y_max - T(x_end), T(x_start) - y_min).
 A block is evaluated endpoint by endpoint only when that bound reaches
 best - 1e-9.  The bound's terms carry a few ulps of rounding, and the
@@ -34,7 +38,9 @@ slack covers it many times over while they stay below 1e4; for count
 rows, whose values are at most n!, they are at most 1.  A skipped
 segment therefore deviates by strictly less than the sup, and the
 report (sup, argmax, first maximum on ties) is the one the full scan
-gives.
+gives.  On top of the row, the scan holds one block's slice and the
+segments of the kept blocks: O(sqrt(len)) memory when few blocks are
+kept, as in count rows.
 """
 
 from __future__ import annotations
@@ -209,23 +215,19 @@ def _exact_scan(
 def _sup_from_row(n: int, stat: str, row: Sequence[int]) -> DeviationReport:
     n_ln_n = n * math.log(n)
     first, top, middle, last = _segment_plan(n, stat, row)
-    values = row[middle.start : middle.stop]
-    # big_ln's error, raised up front so that no skipped block hides it
-    if values and min(values) < 1:
-        raise ValueError("value must be a positive integer")
     floor = _exact_scan(stat, n_ln_n, (first, last))[0] - _BOUND_SLACK
-    bits = list(map(int.bit_length, values))
-    size = math.isqrt(len(bits)) + 1
+    size = math.isqrt(len(middle)) + 1
     segments = [first]
-    for i in range(0, len(bits), size):
-        block = bits[i : i + size]
-        k_lo = middle.start + i
-        k_hi = k_lo + len(block)
-        y_min = (min(block) - 1) * _LN2 / n_ln_n
-        y_max = max(block) * _LN2 / n_ln_n
+    for k_lo in range(middle.start, middle.stop, size):
+        k_hi = min(k_lo + size, middle.stop)
+        block = row[k_lo:k_hi]
+        low, high = min(block), max(block)
+        # big_ln's error, raised before the bound so that no skipped block hides it
+        if low < 1:
+            raise ValueError("value must be a positive integer")
         bound = max(
-            y_max - target_value(stat, k_hi / top),
-            target_value(stat, k_lo / top) - y_min,
+            high.bit_length() * _LN2 / n_ln_n - target_value(stat, k_hi / top),
+            target_value(stat, k_lo / top) - (low.bit_length() - 1) * _LN2 / n_ln_n,
         )
         if bound >= floor:
             segments.extend((k / top, (k + 1) / top, row[k]) for k in range(k_lo, k_hi))
@@ -239,8 +241,12 @@ def sup_deviation(n: int, stat: str, table: CountTable | None = None) -> Deviati
 
     The report is the one from evaluating every constant segment at both
     endpoints, the right one standing in for the one-sided limit, so no
-    grid can under-report; blocks of segments that provably cannot hold
-    the sup are skipped (see the module docstring).
+    grid can under-report; blocks of about sqrt(len) segments that
+    provably cannot hold the sup, by the bit lengths of their smallest
+    and largest values, are skipped (see the module docstring).  A value
+    below 1 raises ValueError, checked per block before any block is
+    skipped.  On count rows the scan allocates O(sqrt(len)) memory on
+    top of the row.
 
     >>> r = sup_deviation(2, "rec")
     >>> (r.sup_dev, r.argmax_x)

@@ -190,6 +190,24 @@ class TestMinProduct:
             extremal._tables.clear()
             assert min_product(n, k) == ascending[k]
 
+    def test_cache_keeps_about_one_full_table(self, monkeypatch):
+        # the kept value rows together stay within srec_max(EXTREMAL_LIMIT)
+        # entries, however many n a sweep visits; evicted tables rebuild exactly
+        monkeypatch.setattr(extremal, "EXTREMAL_LIMIT", 30)
+        budget = srec_max(30)
+        extremal._tables.clear()
+        try:
+            for n in range(25, 31):
+                expected = full_table_minimum(n)
+                for k in feasible_ks(n):
+                    got = min_product(n, k)
+                    assert (got.m, got.witness) == expected[k], f"n={n}, k={k}"
+                    kept = sum(len(entry[2]) for entry in extremal._tables.values())
+                    assert kept <= budget, f"n={n}, k={k}: {kept} entries kept"
+                    assert n in extremal._tables
+        finally:
+            extremal._tables.clear()
+
     def test_dp_memory_stays_quadratic(self):
         # The full-table DP peaked at 11.9 MB under tracemalloc (CPython 3.11.7);
         # one value row plus packed bits peaks at about 0.4 MB.  The bound is

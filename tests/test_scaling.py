@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -255,11 +257,28 @@ class TestPrunedScanMatchesFullScan:
 
     def test_zero_in_middle_still_raises(self):
         # k = 17 sits in a block whose bound is below the first segment's
-        # deviation, so the scan would skip it but for the up-front check
-        row = [0] + [2**40] * 20
-        row[17] = 0
-        with pytest.raises(ValueError):
-            scan_row(20, REC, row)
+        # deviation, so the scan would skip it but for the per-block check
+        # of its smallest value.  Bit lengths ignore sign: -2^40 leaves the
+        # bound, and the skip, as 2^40 would.
+        for k, value in ((17, 0), (17, -(2**40)), (17, -1), (2, -(2**40)), (19, -3)):
+            row = [0] + [2**40] * 20
+            row[k] = value
+            with pytest.raises(ValueError, match="positive integer"):
+                scan_row(20, REC, row)
+
+    def test_scan_memory_is_small_beside_the_row(self):
+        # The scan slices one block of about sqrt(len) values at a time.
+        # A copy of the middle of the row and a list of its bit lengths
+        # peaked at 0.44 of the row's bytes (CPython 3.11.7).
+        table = srec_table(120)
+        row_bytes = sys.getsizeof(table.coeffs) + sum(map(sys.getsizeof, table.coeffs))
+        tracemalloc.start()
+        try:
+            sup_deviation(120, SREC, table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * row_bytes, f"scan peaked at {peak / row_bytes:.1%} of the row"
 
 
 class TestTauSeries:
