@@ -16,10 +16,10 @@ from .extremal import (
     GammaBounds,
     gamma_bounds,
     i0_closed,
-    i0_greedy,
     min_product,
     srec_count_bounds,
 )
+from .oracles import brute_force_tables, i0_greedy, rec_prob_sum, srec_prob_sum
 from .perm import (
     Permutation,
     RecordProfile,
@@ -34,9 +34,7 @@ from .probabilities import (
     PatternSpec,
     pattern_probability,
     rec_prob_bounds,
-    rec_prob_sum,
     srec_prob_bounds,
-    srec_prob_sum,
 )
 from .scaling import (
     DeviationReport,
@@ -52,7 +50,6 @@ from .tables import (
     SREC,
     CountTable,
     big_ln,
-    brute_force_tables,
     rec_count,
     rec_table,
     srec_max,

@@ -36,9 +36,6 @@ C(n, k) between Gamma(n-i_0)/(n e^n) and 2^n Gamma(n-i_0).
 
 from __future__ import annotations
 
-import bisect
-import functools
-import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -208,22 +205,6 @@ def _check_i0_domain(n: int, k: int) -> None:
         raise ValueError("i0 requires n >= 4")
     if not n + 1 <= k <= srec_max(n):
         raise ValueError(f"i0 requires n+1 <= k <= n(n+1)/2, got n={n}, k={k}")
-
-
-@functools.lru_cache(maxsize=8)
-def _descending_sums(n: int) -> tuple[int, ...]:
-    """n, n + (n-1), ..., n + (n-1) + ... + 1."""
-    return tuple(itertools.accumulate(range(n, 0, -1)))
-
-
-def i0_greedy(n: int, k: int) -> int:
-    """Greatest i with k - 1 >= n + (n-1) + ... + (n-i), by a bisect.
-
-    It searches the partial sums n, n + (n-1), ..., independently of the
-    closed form; the last of them, n(n+1)/2, exceeds k - 1, so i <= n - 2.
-    """
-    _check_i0_domain(n, k)
-    return bisect.bisect_right(_descending_sums(n), k - 1) - 1
 
 
 def i0_closed(n: int, k: int) -> int:

@@ -2,16 +2,13 @@
 Exact rational record probabilities and their two-sided bounds.
 
 Records of a uniform random permutation occur independently, with
-probability 1/k at position k.  Three exact consequences are computed
-here, all in arbitrary-precision rationals:
-
-* the probability that prescribed positions are (Y) or are not (N)
-  records, a product of factors 1/j and 1 - 1/j;
-* P(rec = k) as the sum over record-position sets
-  {1 = v_1 < ... < v_k <= n} of (1/(v_1...v_k)) * prod (1 - 1/v) over
-  the remaining positions, which equals c(n,k)/n! exactly;
-* P(srec = k), the same sum restricted to sets with v_1 + ... + v_r = k,
-  which equals C(n,k)/n! exactly.
+probability 1/k at position k.  So the probability that prescribed
+positions are (Y) or are not (N) records is an exact rational product
+of factors 1/j and 1 - 1/j.  Summed over record-position sets
+{1 = v_1 < ... < v_k <= n}, the same weights give P(rec = k) = c(n,k)/n!
+and, over sets with v_1 + ... + v_r = k, P(srec = k) = C(n,k)/n!; those
+sums are the oracles ``rec_prob_sum`` and ``srec_prob_sum`` of
+:mod:`recstats.oracles`.
 
 The bound operations return natural logs of the bracket ends because
 the lower ends underflow floats long before n gets interesting.
@@ -22,13 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import extremal
-from .tables import big_ln, srec_max
-
-# direct subset enumeration stays instantaneous up to here
-ENUMERATION_LIMIT = 12
+from .tables import big_ln
 
 YES = "Y"
 NO = "N"
@@ -72,59 +65,6 @@ def pattern_probability(spec: PatternSpec) -> Fraction:
             continue
         p *= Fraction(1, j) if mark == YES else Fraction(j - 1, j)
     return p
-
-
-def _check_enumeration_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(f"subset enumeration is limited to n <= {ENUMERATION_LIMIT}")
-
-
-def _subset_weight(n: int, chosen: set[int]) -> Fraction:
-    # weight of the record set {1} | chosen: prod 1/v over records times
-    # prod (1 - 1/v) = (v-1)/v elsewhere; the common denominator is n!
-    numerator = math.prod(v - 1 for v in range(2, n + 1) if v not in chosen)
-    return Fraction(numerator, math.factorial(n))
-
-
-def rec_prob_sum(n: int, k: int) -> Fraction:
-    """P(rec = k) by direct enumeration of record-position sets.
-
-    Out-of-range k gives probability 0.  Agrees with c(n,k)/n! exactly.
-
-    >>> rec_prob_sum(3, 2)
-    Fraction(1, 2)
-    """
-    _check_enumeration_n(n)
-    if not 1 <= k <= n:
-        return Fraction(0)
-    total = Fraction(0)
-    for chosen in combinations(range(2, n + 1), k - 1):
-        total += _subset_weight(n, set(chosen))
-    return total
-
-
-def srec_prob_sum(n: int, k: int) -> Fraction:
-    """P(srec = k) by enumeration of record sets with position sum k.
-
-    Position 1 is forced, so subsets of {2, ..., n} are tested against
-    sum k - 1.  Agrees with C(n,k)/n! exactly.
-
-    >>> srec_prob_sum(3, 4)
-    Fraction(1, 6)
-    >>> srec_prob_sum(5, 2)
-    Fraction(0, 1)
-    """
-    _check_enumeration_n(n)
-    if not 1 <= k <= srec_max(n):
-        return Fraction(0)
-    total = Fraction(0)
-    for r in range(0, n):
-        for chosen in combinations(range(2, n + 1), r):
-            if 1 + sum(chosen) == k:
-                total += _subset_weight(n, set(chosen))
-    return total
 
 
 def rec_prob_bounds(n: int, x: float) -> tuple[float, float]:

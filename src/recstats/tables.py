@@ -30,13 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perm import record_positions
-
 REC = "rec"
 SREC = "srec"
-
-# brute_force_tables enumerates n! permutations
-BRUTE_FORCE_LIMIT = 9
 
 
 def srec_max(n: int) -> int:
@@ -171,30 +166,6 @@ def rec_count(n: int, k: int) -> int:
         for i in range(min(j, k), max(1, k - (n - j)) - 1, -1):
             row[i] = row[i - 1] + m * row[i]
     return row[k]
-
-
-def brute_force_tables(n: int) -> tuple[CountTable, CountTable]:
-    """Histograms of rec and srec over all n! permutations.
-
-    Independent of the generating-function recurrences: only the record
-    scan of :mod:`recstats.perm` is used.  Enumeration is capped at
-    n <= 9.
-    """
-    _check_n(n)
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force is limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
-    import itertools
-
-    rec_hist = [0] * (n + 1)
-    srec_hist = [0] * (srec_max(n) + 1)
-    for values in itertools.permutations(range(1, n + 1)):
-        positions = record_positions(values)
-        rec_hist[len(positions)] += 1
-        srec_hist[sum(positions)] += 1
-    return (
-        CountTable(n, REC, tuple(rec_hist)),
-        CountTable(n, SREC, tuple(srec_hist)),
-    )
 
 
 def big_ln(value: int) -> float:

@@ -156,18 +156,11 @@ def phi_prime(u: float, n: int, m: int) -> float:
 
     The psi difference telescopes the harmonic sum
     1/(u+1) + ... + 1/(u+n), giving O(1) evaluation;
-    :func:`phi_prime_direct` keeps the O(n) sum as a cross-check.
+    ``recstats.oracles.phi_prime_direct`` keeps the O(n) sum as a cross-check.
     """
     _check_positive(u, "u")
     _check_nm(n, m)
     return digamma_diff(u + 1.0, u + n + 1.0) - m / u
-
-
-def phi_prime_direct(u: float, n: int, m: int) -> float:
-    """phi'(u) by direct summation, the independent oracle for small n."""
-    _check_positive(u, "u")
-    _check_nm(n, m)
-    return math.fsum(1.0 / (u + j) for j in range(1, n + 1)) - m / u
 
 
 def phi_second(u: float, n: int, m: int) -> float:

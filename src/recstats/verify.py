@@ -1,5 +1,14 @@
 """
-Cross-module invariant suites behind the ``verify`` CLI command.
+The invariant catalogue: one check function per property, run by two gates.
+
+Every check takes its ranges as arguments, and where it needs them its
+seed, its tolerance or the count rows it reads, and raises CheckFailure
+at the first input where a comparison fails.  The ``verify`` CLI
+command runs the checks through ``_CHECKS``, which maps ``--max-n`` to
+each check's arguments.  The acceptance tests in
+``tests/test_acceptance.py`` call the same functions with the ranges
+and tolerances pinned there; the logic lives only here.  The oracles
+the checks compare against live in :mod:`recstats.oracles`.
 
 Each check prints one PASS/FAIL line (or SKIP when its smallest
 meaningful n exceeds the requested cap).  Ranges scale with ``max_n``
@@ -7,23 +16,31 @@ so the default stays a desk-speed smoke test; checks needing large n
 for their statement (asymptotic trends, brackets holding only
 eventually) skip below their thresholds instead of asserting vacuously.
 All randomness is seeded, so a suite run is a pure function of its
-arguments.
+arguments.  Comparisons are written ``if not ...: raise`` rather than
+``assert``, which ``python -O`` strips, and a passing comparison formats
+no message.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from . import extremal, probabilities, scaling, tables, temme
+from . import extremal, oracles, probabilities, scaling, tables, temme
 from .perm import iter_uniform, lehmer_decode, lehmer_encode, records, sample_uniform
 from .tables import REC, SREC
 
 SUITES = ("core", "bounds", "scaling", "temme", "all")
 
 _SEED = 20080828
+# log-domain slack of the brackets
+_SLACK = 1e-9
+
+# (n, dense count row indexed by k), as the row iterators of tables yield them
+Rows = Iterable[tuple[int, Sequence[int]]]
 
 
 class CheckFailure(AssertionError):
@@ -31,59 +48,57 @@ class CheckFailure(AssertionError):
 
 
 class CheckSkipped(Exception):
-    """Raised by a check whose smallest meaningful n exceeds the cap."""
-
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise CheckFailure(message)
+    """Raised when a check's smallest meaningful n exceeds the cap."""
 
 
 # ---------------------------------------------------------------- core
 
 
-def _check_lehmer_roundtrip(max_n: int) -> None:
-    import itertools
-
-    for n in range(1, min(max_n, 6) + 1):
+def check_lehmer_roundtrip(ns: Iterable[int]) -> None:
+    for n in ns:
         seen = set()
         for code in itertools.product(*(range(i) for i in range(1, n + 1))):
             p = lehmer_decode(code)
-            _require(lehmer_encode(p) == code, f"roundtrip broke at {code}")
+            if not lehmer_encode(p) == code:
+                raise CheckFailure(f"roundtrip broke at {code}")
             seen.add(p.entries)
-        _require(seen == set(itertools.permutations(range(1, n + 1))),
-                 f"decode is not onto S_{n}")
+        if not seen == set(itertools.permutations(range(1, n + 1))):
+            raise CheckFailure(f"decode is not onto S_{n}")
 
 
-def _check_records_vs_code_zeros(max_n: int) -> None:
-    rng = random.Random(_SEED)
+def check_records_vs_code_zeros(n_max: int, seed: int) -> None:
+    rng = random.Random(seed)
     for _ in range(200):
-        n = rng.randint(1, max(2, max_n))
+        n = rng.randint(1, n_max)
         p = sample_uniform(n, rng.randrange(2**32))
         code = lehmer_encode(p)
         zeros = tuple(i + 1 for i, r in enumerate(code) if r == 0)
         prof = records(p)
-        _require(prof.positions == zeros, f"record positions != code zeros for {p}")
-        _require(prof.rec == len(zeros) and prof.srec == sum(zeros), "rec/srec mismatch")
+        if not prof.positions == zeros:
+            raise CheckFailure(f"record positions != code zeros for {p}")
+        if not (prof.rec == len(zeros) and prof.srec == sum(zeros)):
+            raise CheckFailure("rec/srec mismatch")
 
 
-def _check_tables_vs_bruteforce(max_n: int) -> None:
-    for n in range(1, min(max_n, 8) + 1):
-        rec_bf, srec_bf = tables.brute_force_tables(n)
-        _require(tables.rec_table(n).coeffs == rec_bf.coeffs, f"rec row differs at n={n}")
-        _require(tables.srec_table(n).coeffs == srec_bf.coeffs, f"srec row differs at n={n}")
+def check_tables_vs_bruteforce(ns: Iterable[int]) -> None:
+    for n in ns:
+        rec_bf, srec_bf = oracles.brute_force_tables(n)
+        if not tables.rec_table(n).coeffs == rec_bf.coeffs:
+            raise CheckFailure(f"rec row differs at n={n}")
+        if not tables.srec_table(n).coeffs == srec_bf.coeffs:
+            raise CheckFailure(f"srec row differs at n={n}")
 
 
-def _check_row_sums(max_n: int) -> None:
-    for n, row in tables.iter_rec_rows(max_n):
-        _require(sum(row) == math.factorial(n), f"rec row sum wrong at n={n}")
-    for n, row in tables.iter_srec_rows(max_n):
-        _require(sum(row) == math.factorial(n), f"srec row sum wrong at n={n}")
+def check_row_sums(rec_rows: Rows, srec_rows: Rows) -> None:
+    for kind, rows in ((REC, rec_rows), (SREC, srec_rows)):
+        for n, row in rows:
+            if not sum(row) == math.factorial(n):
+                raise CheckFailure(f"{kind} row sum wrong at n={n}")
 
 
-def _check_rec_row_vs_polynomial(max_n: int) -> None:
+def check_rec_row_vs_polynomial(ns: Iterable[int]) -> None:
     # independent route: convolve (q+j) factors directly
-    for n in range(1, min(max_n, 50) + 1):
+    for n in ns:
         poly = [0, 1]
         for j in range(1, n):
             poly = [
@@ -92,244 +107,228 @@ def _check_rec_row_vs_polynomial(max_n: int) -> None:
                 for i in range(len(poly) + 1)
             ]
         row = tables.rec_table(n)
-        _require(poly == [row.coeffs[k] for k in range(n + 1)],
-                 f"polynomial product differs at n={n}")
+        if not poly == [row.coeffs[k] for k in range(n + 1)]:
+            raise CheckFailure(f"polynomial product differs at n={n}")
 
 
-def _check_srec_extremes(max_n: int) -> None:
-    for n in range(3, max(max_n, 3) + 1):
+def check_srec_extremes(ns: Iterable[int]) -> None:
+    for n in ns:
         row = tables.srec_table(n).coeffs
         top = tables.srec_max(n)
-        _require(row[1] == math.factorial(n - 1), f"C({n},1) wrong")
-        _require(row[top] == 1, f"C({n},max) wrong")
+        if not row[1] == math.factorial(n - 1):
+            raise CheckFailure(f"C({n},1) wrong")
+        if not row[top] == 1:
+            raise CheckFailure(f"C({n},max) wrong")
         zeros = {k for k in range(1, top + 1) if row[k] == 0}
-        _require(zeros == {2, top - 1}, f"zero set wrong at n={n}: {sorted(zeros)}")
+        if not zeros == {2, top - 1}:
+            raise CheckFailure(f"zero set wrong at n={n}: {sorted(zeros)}")
 
 
-def _check_record_frequencies(max_n: int) -> None:
-    n = min(max(max_n, 4), 10)
+def check_record_frequencies(n: int, seed: int) -> None:
     count = 20000
     hits = [0] * (n + 1)
-    for p in iter_uniform(n, _SEED, count):
+    for p in iter_uniform(n, seed, count):
         for pos in records(p).positions:
             hits[pos] += 1
     bound = 4.0 / math.sqrt(count)
     for k in range(1, n + 1):
-        _require(abs(hits[k] / count - 1.0 / k) <= bound,
-                 f"record frequency at position {k} off by more than 4/sqrt(N)")
+        if not abs(hits[k] / count - 1.0 / k) <= bound:
+            raise CheckFailure(f"record frequency at position {k} off by more than 4/sqrt(N)")
 
 
-def _check_sampled_rec_distribution(max_n: int) -> None:
-    if max_n < 4:
-        raise CheckSkipped("needs n = 4")
+def check_sampled_rec_distribution(seed: int) -> None:
     count = 100000
     freq = [0] * 5
-    for p in iter_uniform(4, _SEED + 1, count):
+    for p in iter_uniform(4, seed, count):
         freq[records(p).rec] += 1
     for k, expected in enumerate((6, 11, 6, 1), start=1):
         p_k = expected / 24.0
         se = math.sqrt(p_k * (1 - p_k) / count)
-        _require(abs(freq[k] / count - p_k) <= 3 * se,
-                 f"empirical P(rec={k}) beyond 3 standard errors")
+        if not abs(freq[k] / count - p_k) <= 3 * se:
+            raise CheckFailure(f"empirical P(rec={k}) beyond 3 standard errors")
 
 
-def _check_big_ln(max_n: int) -> None:
-    _require(tables.big_ln(1) == 0.0, "ln 1 != 0")
-    _require(abs(tables.big_ln(2**1000) - 1000 * math.log(2)) < 1e-9, "ln 2^1000 off")
+def check_big_ln() -> None:
+    if not tables.big_ln(1) == 0.0:
+        raise CheckFailure("ln 1 != 0")
+    if not abs(tables.big_ln(2**1000) - 1000 * math.log(2)) < 1e-9:
+        raise CheckFailure("ln 2^1000 off")
     direct = math.fsum(math.log(j) for j in range(1, 101))
     got = tables.big_ln(math.factorial(100))
-    _require(abs(got - direct) < 1e-9 * direct, "ln 100! off")
+    if not abs(got - direct) < 1e-9 * direct:
+        raise CheckFailure("ln 100! off")
 
 
 # -------------------------------------------------------------- bounds
 
 
-def _check_rec_sum_identity(max_n: int) -> None:
-    for n in range(1, min(max_n, 10) + 1):
-        row = tables.rec_table(n)
-        for k in range(1, n + 1):
-            _require(
-                probabilities.rec_prob_sum(n, k) == Fraction(row.coeffs[k], math.factorial(n)),
-                f"rec sum formula differs at n={n}, k={k}",
-            )
+def check_rec_sum_identity(ns: Iterable[int], edges: bool = False) -> None:
+    """rec_prob_sum(n, k) = c(n, k)/n! for k in [1, n]; with ``edges`` also 0 at k = 0 and n + 1."""
+    for n in ns:
+        fact = math.factorial(n)
+        row = tables.rec_table(n).coeffs + (0,)
+        for k in range(0 if edges else 1, n + 2 if edges else n + 1):
+            if not oracles.rec_prob_sum(n, k) * fact == row[k]:
+                raise CheckFailure(f"rec sum formula differs at n={n}, k={k}")
 
 
-def _check_srec_sum_identity(max_n: int) -> None:
-    for n in range(1, min(max_n, 10) + 1):
+def check_srec_sum_identity(ns: Iterable[int]) -> None:
+    for n in ns:
+        fact = math.factorial(n)
         row = tables.srec_table(n)
         for k in range(1, tables.srec_max(n) + 1):
-            _require(
-                probabilities.srec_prob_sum(n, k) == Fraction(row.coeffs[k], math.factorial(n)),
-                f"srec sum formula differs at n={n}, k={k}",
-            )
+            if not oracles.srec_prob_sum(n, k) * fact == row.coeffs[k]:
+                raise CheckFailure(f"srec sum formula differs at n={n}, k={k}")
 
 
-def _check_pattern_total(max_n: int) -> None:
-    import itertools
-
-    for n in range(1, min(max_n, 12) + 1):
+def check_pattern_total(ns: Iterable[int]) -> None:
+    for n in ns:
         total = Fraction(0)
         for assignment in itertools.product("YN", repeat=n - 1):
             marks = dict(zip(range(2, n + 1), assignment))
             total += probabilities.pattern_probability(probabilities.PatternSpec(n, marks))
-        _require(total == 1, f"pattern probabilities sum to {total} at n={n}")
+        if not total == 1:
+            raise CheckFailure(f"pattern probabilities sum to {total} at n={n}")
 
 
-def _check_pattern_terms(max_n: int) -> None:
-    import itertools
-
-    for n in range(2, min(max_n, 8) + 1):
+def check_pattern_terms(ns: Iterable[int]) -> None:
+    for n in ns:
         for size in range(0, n):
             total = Fraction(0)
             for chosen in itertools.combinations(range(2, n + 1), size):
                 marks = {j: "Y" if j in chosen else "N" for j in range(2, n + 1)}
                 total += probabilities.pattern_probability(probabilities.PatternSpec(n, marks))
-            _require(total == probabilities.rec_prob_sum(n, size + 1),
-                     f"pattern terms disagree with the rec sum at n={n}, k={size + 1}")
+            if not total == oracles.rec_prob_sum(n, size + 1):
+                raise CheckFailure(
+                    f"pattern terms disagree with the rec sum at n={n}, k={size + 1}")
 
 
-def _check_rec_bounds_bracket(max_n: int) -> None:
-    for n in range(1, min(max_n, 30) + 1):
+def check_rec_bounds_bracket(ns: Iterable[int], slack: float) -> None:
+    for n in ns:
         row = tables.rec_table(n)
         fact_log = tables.big_ln(math.factorial(n))
         for k in range(1, n + 1):
             x = 1.0 if k == n else (k + 0.5) / n  # mid-cell, floors to k exactly
             lo, hi = probabilities.rec_prob_bounds(n, x)
             actual = tables.big_ln(row.coeffs[k]) - fact_log
-            _require(lo - 1e-9 <= actual <= hi + 1e-9,
-                     f"rec bracket fails at n={n}, k={k}")
+            if not lo - slack <= actual <= hi + slack:
+                raise CheckFailure(f"rec bracket fails at n={n}, k={k}")
 
 
-def _check_srec_bounds_bracket(max_n: int) -> None:
-    for n in range(1, min(max_n, 20) + 1):
-        row = tables.srec_table(n)
+def check_srec_bounds_bracket(rows: Rows, slack: float) -> None:
+    for n, row in rows:
         fact_log = tables.big_ln(math.factorial(n))
         top = tables.srec_max(n)
         for k in range(1, top + 1):
             if k == 2 or k == top - 1:
                 continue
             lo, hi = probabilities.srec_prob_bounds(n, k)
-            actual = tables.big_ln(row.coeffs[k]) - fact_log
-            _require(lo - 1e-9 <= actual <= hi + 1e-9,
-                     f"srec bracket fails at n={n}, k={k}")
+            actual = tables.big_ln(row[k]) - fact_log
+            if not lo - slack <= actual <= hi + slack:
+                raise CheckFailure(f"srec bracket fails at n={n}, k={k}")
 
 
-def _check_min_product_vs_bruteforce(max_n: int) -> None:
-    import itertools
-
-    for n in range(1, min(max_n, 12) + 1):
+def check_min_product_vs_bruteforce(ns: Iterable[int]) -> None:
+    for n in ns:
+        best = oracles.min_product_brute_force(n)
         top = tables.srec_max(n)
-        best: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for size in range(0, n):
-            for chosen in itertools.combinations(range(2, n + 1), size):
-                k = 1 + sum(chosen)
-                product = math.prod(chosen)
-                key = (product, (1,) + chosen)
-                if k not in best or key < best[k]:
-                    best[k] = key
         for k in range(1, top + 1):
             if k == 2 or k == top - 1:
                 continue
             got = extremal.min_product(n, k)
-            _require((got.m, got.witness) == best[k],
-                     f"DP differs from brute force at n={n}, k={k}")
+            if not (got.m, got.witness) == best[k]:
+                raise CheckFailure(f"DP differs from brute force at n={n}, k={k}")
 
 
-def _check_small_k_structure(max_n: int) -> None:
-    for n in range(3, max(max_n, 3) + 1):
+def check_small_k_structure(ns: Iterable[int]) -> None:
+    for n in ns:
         for k in range(3, n + 1):
             got = extremal.min_product(n, k)
-            _require(got.m == k - 1 and got.witness == (1, k - 1),
-                     f"m(n,k) != k-1 at n={n}, k={k}")
+            if not (got.m == k - 1 and got.witness == (1, k - 1)):
+                raise CheckFailure(f"m(n,k) != k-1 at n={n}, k={k}")
 
 
-def _check_i0_forms_agree(max_n: int) -> None:
-    if max_n < 4:
-        raise CheckSkipped("needs n >= 4")
-    for n in range(4, max_n + 1):
-        for k in range(n + 1, tables.srec_max(n) + 1):
-            _require(extremal.i0_closed(n, k) == extremal.i0_greedy(n, k),
-                     f"i0 forms differ at n={n}, k={k}")
+def check_i0_forms_agree(ns: Iterable[int]) -> None:
+    closed, greedy = extremal.i0_closed, oracles.i0_greedy
+    for n in ns:
+        for k in range(n + 1, n * (n + 1) // 2 + 1):
+            if not closed(n, k) == greedy(n, k):
+                raise CheckFailure(f"i0 forms differ at n={n}, k={k}")
 
 
-def _check_gamma_squeeze(max_n: int) -> None:
-    if max_n < 4:
-        raise CheckSkipped("needs n >= 4")
-    for n in range(4, min(max_n, 40) + 1):
+def check_gamma_squeeze(ns: Iterable[int], slack: float) -> None:
+    for n in ns:
         top = tables.srec_max(n)
         for k in range(n + 1, top + 1):
             if k == top - 1:
                 continue
             bounds = extremal.gamma_bounds(n, k)
             log_m = tables.big_ln(extremal.min_product(n, k).m)
-            _require(bounds.log_lower - 1e-9 <= log_m <= bounds.log_upper + 1e-9,
-                     f"gamma squeeze fails at n={n}, k={k}")
+            if not bounds.log_lower - slack <= log_m <= bounds.log_upper + slack:
+                raise CheckFailure(f"gamma squeeze fails at n={n}, k={k}")
 
 
-def _check_i0_sqrt_distance(max_n: int) -> None:
-    if max_n < 4:
-        raise CheckSkipped("needs n >= 4")
-    for n in range(4, max_n + 1):
+def check_i0_sqrt_distance(ns: Iterable[int]) -> None:
+    # the acceptance gate runs this over 20.8 M (n, k): names are bound locally
+    closed, sqrt = extremal.i0_closed, math.sqrt
+    for n in ns:
         pairs = n * (n + 1)
-        for k in range(n + 1, tables.srec_max(n)):
-            i0 = extremal.i0_closed(n, k)
-            x = 2 * k / pairs
-            _require(abs(n - i0 - n * math.sqrt(1.0 - x)) <= 3.0,
-                     f"|n - i0 - n sqrt(1-x)| > 3 at n={n}, k={k}")
+        for k in range(n + 1, pairs // 2):
+            if not abs(n - closed(n, k) - n * sqrt(1.0 - 2 * k / pairs)) <= 3.0:
+                raise CheckFailure(f"|n - i0 - n sqrt(1-x)| > 3 at n={n}, k={k}")
 
 
-def _check_srec_count_bounds(max_n: int) -> None:
-    if max_n < 3:
-        raise CheckSkipped("needs n >= 3")
-    for n in range(3, min(max_n, 60) + 1):
-        row = tables.srec_table(n)
+def check_srec_count_bounds(rows: Rows, slack: float) -> None:
+    for n, row in rows:
         top = tables.srec_max(n)
         for k in range(3, top + 1):
             if k == top - 1 or (k > n and n < 4):
                 continue
             lo, hi = extremal.srec_count_bounds(n, k)
-            actual = tables.big_ln(row.coeffs[k])
-            _require(lo - 1e-9 <= actual <= hi + 1e-9,
-                     f"count bracket fails at n={n}, k={k}")
+            actual = tables.big_ln(row[k])
+            if not lo - slack <= actual <= hi + slack:
+                raise CheckFailure(f"count bracket fails at n={n}, k={k}")
 
 
 # ------------------------------------------------------------- scaling
 
 
-def _check_psi_at_one(max_n: int) -> None:
-    for n in range(2, max(max_n, 2) + 1):
-        _require(scaling.fn_value(n, 1.0) == 1, f"f_{n}(1) != 1")
-        _require(scaling.phin_value(n, 1.0) == 1, f"phi_{n}(1) != 1")
+def check_psi_at_one(ns: Iterable[int]) -> None:
+    for n in ns:
+        if not scaling.fn_value(n, 1.0) == 1:
+            raise CheckFailure(f"f_{n}(1) != 1")
+        if not scaling.phin_value(n, 1.0) == 1:
+            raise CheckFailure(f"phi_{n}(1) != 1")
 
 
-def _check_values_match_tables(max_n: int) -> None:
+def check_values_match_tables(ns: Iterable[int]) -> None:
     # Breakpoints land as the nearest float: the step value must come
     # from the coefficient at k, or at k-1 when the float dipped below
     # the cut, and exactly from k whenever the quotient is representable.
-    for n in range(2, max(max_n, 2) + 1):
+    for n in ns:
         rec_row = tables.rec_table(n)
         for k in range(1, n + 1):
             x = k / n
             got = scaling.fn_value(n, x)
-            allowed = {rec_row.coeffs[k], rec_row.coeffs[max(k - 1, 1)]}
-            _require(got in allowed, f"fn_value off at n={n}, k={k}")
-            if Fraction(x) == Fraction(k, n):
-                _require(got == rec_row.coeffs[k], f"fn_value misses exact cut at n={n}, k={k}")
+            if got not in {rec_row.coeffs[k], rec_row.coeffs[max(k - 1, 1)]}:
+                raise CheckFailure(f"fn_value off at n={n}, k={k}")
+            if Fraction(x) == Fraction(k, n) and not got == rec_row.coeffs[k]:
+                raise CheckFailure(f"fn_value misses exact cut at n={n}, k={k}")
         srec_row = tables.srec_table(n)
         top = tables.srec_max(n)
         for k in range(4, top - 2):
             x = 2 * k / (n * (n + 1))
             got = scaling.phin_value(n, x)
-            allowed = {srec_row.coeffs[k], srec_row.coeffs[k - 1]}
-            _require(got in allowed, f"phin_value off at n={n}, k={k}")
-            if Fraction(x) == Fraction(k, top):
-                _require(got == srec_row.coeffs[k], f"phin_value misses exact cut at n={n}, k={k}")
+            if got not in {srec_row.coeffs[k], srec_row.coeffs[k - 1]}:
+                raise CheckFailure(f"phin_value off at n={n}, k={k}")
+            if Fraction(x) == Fraction(k, top) and not got == srec_row.coeffs[k]:
+                raise CheckFailure(f"phin_value misses exact cut at n={n}, k={k}")
 
 
-def _check_segment_interiors(max_n: int) -> None:
-    rng = random.Random(_SEED + 2)
+def check_segment_interiors(ns: Sequence[int], seed: int) -> None:
+    rng = random.Random(seed)
     for stat in (REC, SREC):
-        for n in range(2, max(max_n, 2) + 1):
+        for n in ns:
             report = scaling.sup_deviation(n, stat)
             row = scaling._row_for(n, stat, None)
             segments = scaling._segments(n, stat, row)
@@ -342,156 +341,184 @@ def _check_segment_interiors(max_n: int) -> None:
                 )
                 for _ in range(20):
                     x = rng.uniform(x_lo, x_hi)
-                    _require(
-                        abs(y - scaling.target_value(stat, x)) <= end_dev + 1e-12,
-                        f"interior deviation exceeds endpoints at n={n}",
-                    )
-                _require(end_dev <= report.sup_dev + 1e-12, "segment exceeds reported sup")
+                    if not abs(y - scaling.target_value(stat, x)) <= end_dev + 1e-12:
+                        raise CheckFailure(f"interior deviation exceeds endpoints at n={n}")
+                if not end_dev <= report.sup_dev + 1e-12:
+                    raise CheckFailure("segment exceeds reported sup")
 
 
-def _tau_certificate(stat: str, max_n: int) -> None:
-    window_hi = min(max_n, 50)
-    reports = scaling.tau_series(stat, 2, max_n)
+def check_tau_window(reports: Iterable[scaling.DeviationReport], window_hi: int) -> float:
+    """Every tau(n) is at most 1.1 C_emp, the largest tau over n = 2..window_hi; returns C_emp."""
     taus = {r.n: r.tau for r in reports}
     c_emp = max(taus[n] for n in range(2, window_hi + 1))
-    for n in range(2, max_n + 1):
-        _require(taus[n] <= 1.1 * c_emp, f"tau({n}) breaks the 1.1x window bound")
-
-
-def _check_tau_bounded_rec(max_n: int) -> None:
-    _tau_certificate(REC, max(max_n, 2))
-
-
-def _check_tau_bounded_srec(max_n: int) -> None:
-    _tau_certificate(SREC, min(max(max_n, 2), 150))
+    for n, tau in taus.items():
+        if not tau <= 1.1 * c_emp:
+            raise CheckFailure(f"tau({n}) breaks the 1.1x window bound")
+    return c_emp
 
 
 # --------------------------------------------------------------- temme
 
 
-def _check_u1_algebraic(max_n: int) -> None:
-    _require(abs(temme.solve_u1(2, 1) - math.sqrt(2.0)) < 1e-9, "u1(2,1) != sqrt(2)")
+def check_u1_algebraic() -> None:
+    if not abs(temme.solve_u1(2, 1) - math.sqrt(2.0)) < 1e-9:
+        raise CheckFailure("u1(2,1) != sqrt(2)")
 
 
-def _check_solver_residuals(max_n: int) -> None:
-    for n in range(2, max(max_n, 2) + 1):
+def check_solver_residuals(ns: Iterable[int]) -> None:
+    for n in ns:
         for m in range(1, n):
             u1 = temme.solve_u1(n, m)
-            residual = abs(temme.phi_prime(u1, n, m))
-            _require(residual <= 1e-12 * m / u1,
-                     f"residual contract broken at n={n}, m={m}")
+            if not abs(temme.phi_prime(u1, n, m)) <= 1e-12 * m / u1:
+                raise CheckFailure(f"residual contract broken at n={n}, m={m}")
 
 
-def _check_phi_prime_vs_direct(max_n: int) -> None:
-    rng = random.Random(_SEED + 3)
-    for n in (5, 50, 500, 2000):
+def check_phi_prime_vs_direct(ns: Iterable[int], seed: int) -> None:
+    rng = random.Random(seed)
+    for n in ns:
         for _ in range(20):
             m = rng.randint(1, n - 1)
             u = math.exp(rng.uniform(math.log(1e-3), math.log(1e4)))
             fast = temme.phi_prime(u, n, m)
-            slow = temme.phi_prime_direct(u, n, m)
-            _require(abs(fast - slow) <= 1e-9 * max(1.0, abs(slow)),
-                     f"digamma and direct phi' differ at n={n}, u={u}")
+            slow = oracles.phi_prime_direct(u, n, m)
+            if not abs(fast - slow) <= 1e-9 * max(1.0, abs(slow)):
+                raise CheckFailure(f"digamma and direct phi' differ at n={n}, u={u}")
 
 
-def _check_special_function_identities(max_n: int) -> None:
-    rng = random.Random(_SEED + 4)
+def check_special_functions(seed: int) -> None:
+    rng = random.Random(seed)
     for _ in range(100):
         x = math.exp(rng.uniform(math.log(0.5), math.log(1e4)))
-        _require(abs(temme.digamma(x + 1.0) - temme.digamma(x) - 1.0 / x) <= 1e-10,
-                 f"digamma recurrence off at x={x}")
-        _require(abs(temme.trigamma(x + 1.0) - temme.trigamma(x) + 1.0 / (x * x)) <= 1e-10,
-                 f"trigamma recurrence off at x={x}")
-    _require(abs(temme.log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-12, "lnGamma(1/2) off")
-    _require(abs(temme.log_gamma(1.0)) < 1e-12, "lnGamma(1) not ~0")
-    for arg in range(2, 172):
-        _require(
-            abs(temme.log_gamma(float(arg)) - tables.big_ln(math.factorial(arg - 1))) <= 1e-9,
-            f"lnGamma({arg}) differs from the factorial log",
-        )
+        if not abs(temme.digamma(x + 1.0) - temme.digamma(x) - 1.0 / x) <= 1e-10:
+            raise CheckFailure(f"digamma recurrence off at x={x}")
+        if not abs(temme.trigamma(x + 1.0) - temme.trigamma(x) + 1.0 / (x * x)) <= 1e-10:
+            raise CheckFailure(f"trigamma recurrence off at x={x}")
+    if not abs(temme.log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-12:
+        raise CheckFailure("lnGamma(1/2) off")
+    if not abs(temme.log_gamma(1.0)) < 1e-12:
+        raise CheckFailure("lnGamma(1) not ~0")
+    for arg in range(1, 172):
+        if not abs(temme.log_gamma(float(arg)) - tables.big_ln(math.factorial(arg - 1))) <= 1e-9:
+            raise CheckFailure(f"lnGamma({arg}) differs from the factorial log")
 
 
-def _check_u1_enclosure(max_n: int) -> None:
-    if max_n < 50:
-        raise CheckSkipped("the u1/n enclosure is asymptotic; needs n >= 50")
-    for n in (50, 100, 200, 400):
-        if n > max_n:
-            continue
+def check_u1_enclosure(ns: Iterable[int]) -> None:
+    for n in ns:
         for tenth in range(1, 10):
             m = n * tenth // 10
             x = m / n
             u1 = temme.solve_u1(n, m)
             lo = n * x * x / (6.0 * (4.0 / 3.0 - x))
             hi = n * (x / (1.0 - x) + 1.0 / n)
-            _require(lo <= u1 <= hi, f"u1 enclosure fails at n={n}, x={x}")
+            if not lo <= u1 <= hi:
+                raise CheckFailure(f"u1 enclosure fails at n={n}, x={x}")
 
 
-def _check_estimate_trend(max_n: int) -> None:
-    if max_n < 160:
-        raise CheckSkipped("trend check spans n = 20..160")
+def check_estimate_trend(ns: Iterable[int], count: Callable[[int, int], int]) -> None:
+    """The error of temme_estimate(n, n // 2) against the exact ``count(n, n // 2)`` shrinks along ns."""
     prev = None
-    for n in (20, 40, 80, 160):
+    for n in ns:
         m = n // 2
-        exact_log = tables.big_ln(tables.rec_count(n, m))
+        exact_log = tables.big_ln(count(n, m))
         est = temme.temme_estimate(n, m)
         rel = abs(math.exp(est.log_estimate - exact_log) - 1.0)
-        _require(prev is None or rel < prev, f"estimate error did not shrink at n={n}")
+        if not (prev is None or rel < prev):
+            raise CheckFailure(f"estimate error did not shrink at n={n}")
         prev = rel
 
 
-def _check_scaled_limit_trend(max_n: int) -> None:
-    if max_n < 400:
-        raise CheckSkipped("trend check spans n = 25..400")
-    for x in (0.25, 0.5, 0.75):
-        devs = [
-            abs(v - (1.0 - x))
-            for _, v in temme.scaled_limit_table(x, (25, 50, 100, 200, 400))
-        ]
-        _require(all(b < a for a, b in zip(devs, devs[1:])),
-                 f"scaled-limit deviation not decreasing at x={x}")
+def check_scaled_limit_trend(xs: Iterable[float], ns: Sequence[int]) -> None:
+    for x in xs:
+        devs = [abs(v - (1.0 - x)) for _, v in temme.scaled_limit_table(x, ns)]
+        if not all(b < a for a, b in zip(devs, devs[1:])):
+            raise CheckFailure(f"scaled-limit deviation not decreasing at x={x}")
 
 
-_CHECKS: dict[str, list[tuple[str, Callable[[int], None]]]] = {
+# ------------------------------------------------------------ catalogue
+
+
+def _from(low: int, reason: str, args: Callable[[int], tuple]) -> Callable[[int], tuple]:
+    """``args`` for a check whose smallest meaningful n is ``low``; below it the check skips."""
+
+    def gated(max_n: int) -> tuple:
+        if max_n < low:
+            raise CheckSkipped(reason)
+        return args(max_n)
+
+    return gated
+
+
+def _upto(cap: int, low: int = 1) -> Callable[[int], tuple]:
+    """The single argument range(low, min(max_n, cap) + 1)."""
+    return lambda m: (range(low, min(m, cap) + 1),)
+
+
+# (label, check, the check's arguments at a given max_n)
+_CHECKS: dict[str, list[tuple[str, Callable[..., object], Callable[[int], tuple]]]] = {
     "core": [
-        ("lehmer roundtrip is a bijection (exhaustive)", _check_lehmer_roundtrip),
-        ("record positions equal code zeros", _check_records_vs_code_zeros),
-        ("tables match brute-force enumeration", _check_tables_vs_bruteforce),
-        ("row sums equal n!", _check_row_sums),
-        ("rec rows equal direct polynomial products", _check_rec_row_vs_polynomial),
-        ("srec extremes and zero positions", _check_srec_extremes),
-        ("sampled record frequencies are 1/k", _check_record_frequencies),
-        ("sampled rec distribution matches c(4,k)/24", _check_sampled_rec_distribution),
-        ("big-integer natural log", _check_big_ln),
+        ("lehmer roundtrip is a bijection (exhaustive)", check_lehmer_roundtrip, _upto(6)),
+        ("record positions equal code zeros", check_records_vs_code_zeros,
+         lambda m: (m, _SEED)),
+        ("tables match brute-force enumeration", check_tables_vs_bruteforce, _upto(8)),
+        ("row sums equal n!", check_row_sums,
+         lambda m: (tables.iter_rec_rows(m), tables.iter_srec_rows(m))),
+        ("rec rows equal direct polynomial products", check_rec_row_vs_polynomial, _upto(50)),
+        ("srec extremes and zero positions", check_srec_extremes,
+         lambda m: (range(3, max(m, 3) + 1),)),
+        ("sampled record frequencies are 1/k", check_record_frequencies,
+         lambda m: (min(max(m, 4), 10), _SEED)),
+        ("sampled rec distribution matches c(4,k)/24", check_sampled_rec_distribution,
+         _from(4, "needs n = 4", lambda m: (_SEED + 1,))),
+        ("big-integer natural log", check_big_ln, lambda m: ()),
     ],
     "bounds": [
-        ("rec sum formula equals c(n,k)/n!", _check_rec_sum_identity),
-        ("srec sum formula equals C(n,k)/n!", _check_srec_sum_identity),
-        ("pattern probabilities sum to 1", _check_pattern_total),
-        ("full patterns reproduce the rec sum terms", _check_pattern_terms),
-        ("rec probability bracket", _check_rec_bounds_bracket),
-        ("srec probability bracket", _check_srec_bounds_bracket),
-        ("minimum product matches brute force", _check_min_product_vs_bruteforce),
-        ("m(n,k) = k-1 with witness (1, k-1) for k <= n", _check_small_k_structure),
-        ("closed-form i0 equals greedy i0", _check_i0_forms_agree),
-        ("Gamma squeeze brackets ln m(n,k)", _check_gamma_squeeze),
-        ("|n - i0 - n sqrt(1-x)| <= 3", _check_i0_sqrt_distance),
-        ("count bounds bracket ln C(n,k)", _check_srec_count_bounds),
+        ("rec sum formula equals c(n,k)/n!", check_rec_sum_identity, _upto(10)),
+        ("srec sum formula equals C(n,k)/n!", check_srec_sum_identity, _upto(10)),
+        ("pattern probabilities sum to 1", check_pattern_total, _upto(12)),
+        ("full patterns reproduce the rec sum terms", check_pattern_terms, _upto(8, 2)),
+        ("rec probability bracket", check_rec_bounds_bracket,
+         lambda m: (range(1, min(m, 30) + 1), _SLACK)),
+        ("srec probability bracket", check_srec_bounds_bracket,
+         lambda m: (tables.iter_srec_rows(min(m, 20)), _SLACK)),
+        ("minimum product matches brute force", check_min_product_vs_bruteforce, _upto(12)),
+        ("m(n,k) = k-1 with witness (1, k-1) for k <= n", check_small_k_structure,
+         lambda m: (range(3, max(m, 3) + 1),)),
+        ("closed-form i0 equals greedy i0", check_i0_forms_agree,
+         _from(4, "needs n >= 4", lambda m: (range(4, m + 1),))),
+        ("Gamma squeeze brackets ln m(n,k)", check_gamma_squeeze,
+         _from(4, "needs n >= 4", lambda m: (range(4, min(m, 40) + 1), _SLACK))),
+        ("|n - i0 - n sqrt(1-x)| <= 3", check_i0_sqrt_distance,
+         _from(4, "needs n >= 4", lambda m: (range(4, m + 1),))),
+        ("count bounds bracket ln C(n,k)", check_srec_count_bounds,
+         _from(3, "needs n >= 3", lambda m: (tables.iter_srec_rows(min(m, 60)), _SLACK))),
     ],
     "scaling": [
-        ("scaled curves vanish at x = 1", _check_psi_at_one),
-        ("step values match table lookups", _check_values_match_tables),
-        ("interior deviation below endpoint deviation", _check_segment_interiors),
-        ("tau series bounded (rec)", _check_tau_bounded_rec),
-        ("tau series bounded (srec)", _check_tau_bounded_srec),
+        ("scaled curves vanish at x = 1", check_psi_at_one, lambda m: (range(2, m + 1),)),
+        ("step values match table lookups", check_values_match_tables,
+         lambda m: (range(2, m + 1),)),
+        ("interior deviation below endpoint deviation", check_segment_interiors,
+         lambda m: (range(2, m + 1), _SEED + 2)),
+        ("tau series bounded (rec)", check_tau_window,
+         lambda m: (scaling.tau_series(REC, 2, m), min(m, 50))),
+        ("tau series bounded (srec)", check_tau_window,
+         lambda m: (scaling.tau_series(SREC, 2, min(m, 150)), min(m, 50))),
     ],
     "temme": [
-        ("u1(2,1) is sqrt(2)", _check_u1_algebraic),
-        ("solver residual within 1e-12 m/u", _check_solver_residuals),
-        ("telescoped phi' agrees with direct sums", _check_phi_prime_vs_direct),
-        ("special function identities", _check_special_function_identities),
-        ("u1/n enclosure for large n", _check_u1_enclosure),
-        ("estimate error shrinks against exact counts", _check_estimate_trend),
-        ("scaled limit approaches 1 - x", _check_scaled_limit_trend),
+        ("u1(2,1) is sqrt(2)", check_u1_algebraic, lambda m: ()),
+        ("solver residual within 1e-12 m/u", check_solver_residuals,
+         lambda m: (range(2, m + 1),)),
+        ("telescoped phi' agrees with direct sums", check_phi_prime_vs_direct,
+         lambda m: ((5, 50, 500, 2000), _SEED + 3)),
+        ("special function identities", check_special_functions, lambda m: (_SEED + 4,)),
+        ("u1/n enclosure for large n", check_u1_enclosure,
+         _from(50, "the u1/n enclosure is asymptotic; needs n >= 50",
+               lambda m: ([n for n in (50, 100, 200, 400) if n <= m],))),
+        ("estimate error shrinks against exact counts", check_estimate_trend,
+         _from(160, "trend check spans n = 20..160",
+               lambda m: ((20, 40, 80, 160), tables.rec_count))),
+        ("scaled limit approaches 1 - x", check_scaled_limit_trend,
+         _from(400, "trend check spans n = 25..400",
+               lambda m: ((0.25, 0.5, 0.75), (25, 50, 100, 200, 400)))),
     ],
 }
 
@@ -505,9 +532,9 @@ def run_suite(suite: str, max_n: int = 8, emit: Callable[[str], None] = print) -
     names: Iterable[str] = _CHECKS if suite == "all" else (suite,)
     ok = True
     for group in names:
-        for label, check in _CHECKS[group]:
+        for label, check, args in _CHECKS[group]:
             try:
-                check(max_n)
+                check(*args(max_n))
             except CheckSkipped as reason:
                 emit(f"SKIP {group}: {label} ({reason})")
             except CheckFailure as failure:

@@ -125,6 +125,11 @@ class TestSubcommands:
         lines = out.splitlines()
         assert sum(line.startswith("PASS") for line in lines) >= 25
         assert not any(line.startswith("FAIL") for line in lines)
+        # pinned here, not in GOLDEN, since verify has no --output; the
+        # digest is the one perfbench/golden.json holds for this call
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9305bbd9d61daf2ac4878c071cabc7b84ec6a7fbf2a5d7e6e3860c766472494a"
+        )
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "curve", "--stat", "rec", "--n", "17")
@@ -182,11 +187,11 @@ class TestErrors:
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         from recstats import verify
 
-        def broken(checks):
+        def broken():
             raise verify.CheckFailure("synthetic")
 
         monkeypatch.setitem(
-            verify._CHECKS, "core", [("synthetic failure", broken)]
+            verify._CHECKS, "core", [("synthetic failure", broken, lambda max_n: ())]
         )
         code, out, _ = run(capsys, "verify", "--suite", "core")
         assert code == 1

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import tracemalloc
@@ -10,25 +9,12 @@ from recstats.extremal import (
     format_witness,
     gamma_bounds,
     i0_closed,
-    i0_greedy,
     min_product,
     srec_count_bounds,
 )
+from recstats.oracles import i0_greedy, min_product_brute_force
 from recstats.tables import big_ln, srec_max, srec_table
 from recstats.temme import log_gamma
-
-
-def brute_minimum(n: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive minimum with the same lexicographic tie-break."""
-    best = None
-    for size in range(0, n):
-        for chosen in itertools.combinations(range(2, n + 1), size):
-            if 1 + sum(chosen) == k:
-                candidate = (math.prod(chosen), (1,) + chosen)
-                if best is None or candidate < best:
-                    best = candidate
-    assert best is not None
-    return best
 
 
 def full_table_rows(n: int) -> list[list[int | None]]:
@@ -106,11 +92,12 @@ class TestMinProduct:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_brute_force(self, n):
         top = srec_max(n)
+        best = min_product_brute_force(n)
         for k in range(1, top + 1):
             if k == 2 or k == top - 1:
                 continue
             got = min_product(n, k)
-            assert (got.m, got.witness) == brute_minimum(n, k)
+            assert (got.m, got.witness) == best[k]
             assert math.prod(got.witness) == got.m
             assert sum(got.witness) == k
 

@@ -157,7 +157,7 @@ class TestSampling:
 
     def test_rec_distribution_matches_exact_row(self):
         # exact row for n=4 from brute force: c(4, k) = 6, 11, 6, 1
-        from recstats.tables import brute_force_tables
+        from recstats.oracles import brute_force_tables
 
         exact = brute_force_tables(4)[0].coeffs
         assert [exact[k] for k in range(1, 5)] == [6, 11, 6, 1]

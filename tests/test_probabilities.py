@@ -4,15 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from recstats.oracles import _subset_weight, rec_prob_sum, srec_prob_sum
 from recstats.perm import Permutation, records
 from recstats.probabilities import (
     PatternSpec,
     format_fraction,
     pattern_probability,
     rec_prob_bounds,
-    rec_prob_sum,
     srec_prob_bounds,
-    srec_prob_sum,
 )
 from recstats.tables import big_ln, rec_table, srec_max, srec_table
 
@@ -69,8 +68,6 @@ class TestPattern:
 
     def test_full_pattern_equals_single_sum_term(self):
         # one fully marked pattern is exactly one term of the rec sum
-        from recstats.probabilities import _subset_weight
-
         for n in range(2, 7):
             for size in range(0, n):
                 for chosen in itertools.combinations(range(2, n + 1), size):

@@ -6,12 +6,12 @@ import tracemalloc
 import pytest
 
 from recstats import tables
+from recstats.oracles import brute_force_tables
 from recstats.tables import (
     REC,
     SREC,
     CountTable,
     big_ln,
-    brute_force_tables,
     iter_rec_rows,
     iter_srec_rows,
     rec_count,

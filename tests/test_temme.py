@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import pytest
 
+from recstats.oracles import phi_prime_direct
 from recstats.tables import big_ln, rec_table
 from recstats.temme import (
     TemmeEstimate,
@@ -14,7 +15,6 @@ from recstats.temme import (
     log_gamma,
     phi,
     phi_prime,
-    phi_prime_direct,
     phi_second,
     scaled_limit_table,
     solve_u1,

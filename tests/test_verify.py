@@ -1,0 +1,73 @@
+"""
+Planted defects: a check of the shared catalogue must catch a production
+function that is wrong at one input, and name that input.
+
+Both the ``verify`` command and the acceptance tests run these checks, so
+a check that went vacuous would pass both gates; these tests keep it
+honest.
+"""
+
+import dataclasses
+
+import pytest
+
+from recstats import extremal, probabilities, scaling, tables, verify
+from recstats.tables import REC, CountTable
+from recstats.verify import CheckFailure
+
+
+def wrong_at(fn, key, change):
+    """fn, except that a call whose leading arguments equal ``key`` returns change(result)."""
+
+    def planted(*args):
+        result = fn(*args)
+        return change(result) if args[: len(key)] == key else result
+
+    return planted
+
+
+def test_tables_vs_bruteforce(monkeypatch):
+    def bump_last(t):
+        return CountTable(t.n, t.kind, t.coeffs[:-1] + (t.coeffs[-1] + 1,))
+
+    monkeypatch.setattr(tables, "srec_table", wrong_at(tables.srec_table, (6,), bump_last))
+    with pytest.raises(CheckFailure, match=r"srec row differs at n=6$"):
+        verify.check_tables_vs_bruteforce(range(1, 9))
+
+
+def test_min_product_vs_bruteforce(monkeypatch):
+    monkeypatch.setattr(extremal, "min_product", wrong_at(
+        extremal.min_product, (9, 20), lambda r: dataclasses.replace(r, m=r.m + 1)))
+    with pytest.raises(CheckFailure, match=r"at n=9, k=20$"):
+        verify.check_min_product_vs_bruteforce(range(1, 13))
+
+
+def test_closed_vs_greedy_i0(monkeypatch):
+    monkeypatch.setattr(extremal, "i0_closed",
+                        wrong_at(extremal.i0_closed, (30, 100), lambda i: i + 1))
+    with pytest.raises(CheckFailure, match=r"at n=30, k=100$"):
+        verify.check_i0_forms_agree(range(4, 61))
+
+
+def test_tau_window(monkeypatch):
+    # past the window n = 2..50, so the planted tau cannot raise C_emp
+    monkeypatch.setattr(scaling, "_sup_from_row", wrong_at(
+        scaling._sup_from_row, (55,), lambda r: dataclasses.replace(r, tau=2 * r.tau)))
+    with pytest.raises(CheckFailure, match=r"tau\(55\)"):
+        verify.check_tau_window(scaling.tau_series(REC, 2, 60), 50)
+
+
+def test_rec_bracket(monkeypatch):
+    # an upper end below the lower one, so c(12, 5)/12! cannot sit inside
+    monkeypatch.setattr(probabilities, "rec_prob_bounds", wrong_at(
+        probabilities.rec_prob_bounds, (12, 5.5 / 12), lambda b: (b[0], b[0] - 1.0)))
+    with pytest.raises(CheckFailure, match=r"at n=12, k=5$"):
+        verify.check_rec_bounds_bracket(range(1, 31), 1e-9)
+
+
+def test_verify_command_reports_the_planted_input(monkeypatch):
+    monkeypatch.setattr(extremal, "i0_closed",
+                        wrong_at(extremal.i0_closed, (10, 20), lambda i: i + 1))
+    lines = []
+    assert not verify.run_suite("bounds", 12, emit=lines.append)
+    assert "FAIL bounds: closed-form i0 equals greedy i0: i0 forms differ at n=10, k=20" in lines
