@@ -162,12 +162,12 @@ def check_big_ln() -> None:
 # -------------------------------------------------------------- bounds
 
 
-def check_rec_sum_identity(ns: Iterable[int], edges: bool = False) -> None:
-    """rec_prob_sum(n, k) = c(n, k)/n! for k in [1, n]; with ``edges`` also 0 at k = 0 and n + 1."""
+def check_rec_sum_identity(ns: Iterable[int]) -> None:
+    """rec_prob_sum(n, k) = c(n, k)/n! for k in [0, n + 1]; 0 at both ends."""
     for n in ns:
         fact = math.factorial(n)
         row = tables.rec_table(n).coeffs + (0,)
-        for k in range(0 if edges else 1, n + 2 if edges else n + 1):
+        for k in range(0, n + 2):
             if not oracles.rec_prob_sum(n, k) * fact == row[k]:
                 raise CheckFailure(f"rec sum formula differs at n={n}, k={k}")
 

@@ -61,7 +61,7 @@ def test_criterion_2_worked_example():
 
 def test_criterion_3_formula_identities():
     started = time.monotonic()
-    check_rec_sum_identity(range(1, 11), edges=True)
+    check_rec_sum_identity(range(1, 11))
     check_srec_sum_identity(range(1, 11))
     check_pattern_total(range(1, 13))
     elapsed = time.monotonic() - started
