@@ -7,8 +7,8 @@ failed run leaves no partial file), and exits 0 on success, 2 on a
 usage error, 1 on a verification failure or I/O problem.
 
 The table exports stream: rows go out a block at a time as they are
-formatted, so peak memory is about two count rows (while the last row
-is built), not the whole document.  Stdout is therefore written
+formatted, so peak memory is about one count row plus its tuple of
+pointers, not the whole document.  Stdout is therefore written
 progressively, and a failure mid-run can leave part of a table there;
 only ``--output`` is atomic.  A reader that closes the pipe early (say
 ``| head``) ends the run with one ``error:`` line and exit 1.

@@ -47,8 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .tables import (
@@ -101,58 +99,62 @@ def target_value(stat: str, x: float) -> float:
     return 1.0 - x if stat == REC else math.sqrt(1.0 - x)
 
 
-# one rec and one srec row at the same n: all that curve, deviation and
-# verify reuse; a sweep over n keeps no more than these two rows alive
-@lru_cache(maxsize=2)
-def _cached_table(n: int, stat: str) -> CountTable:
-    return rec_table(n) if stat == REC else srec_table(n)
+def _step_index(n: int, stat: str, x: float) -> int:
+    """The k whose count is the step value at x: f_n(x) = row[k] (rec), phi_n(x) = row[k] (srec).
+
+    The branch tests and the floor run in integers on x = p/q from
+    ``x.as_integer_ratio()``, the exact binary value of ``x``, so a test
+    and the floor beside it can never disagree at a cut.  phi_n's end
+    branches are row entries too: (n-1)! = C(n, 1) and 1 = C(n, top).
+    """
+    p, q = x.as_integer_ratio()
+    if stat == REC:
+        return (n * p) // q if n * p >= q else 1
+    pairs = n * (n + 1)
+    if p * pairs < 6 * q:
+        return 1
+    top = pairs // 2
+    if p * pairs >= (pairs - 2) * q:
+        return top
+    return (top * p) // q
+
+
+def _step_value(n: int, stat: str, x: float) -> int:
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x must lie in [0, 1], got {x}")
+    return _row_for(n, stat, None)[_step_index(n, stat, x)]
 
 
 def fn_value(n: int, x: float) -> int:
     """Step extension of the rec counts: c(n, floor(nx)), held at c(n, 1) below 1/n.
 
     The branch test and the floor are evaluated exactly for the binary
-    value of ``x`` (floats convert to Fraction losslessly), so the two
-    can never disagree at a threshold.
+    value of ``x`` (in integers on ``x.as_integer_ratio()``), so the two
+    can never disagree at a threshold.  Each call builds its row.
 
     >>> fn_value(5, 0.0)
     24
     >>> fn_value(5, 1.0)
     1
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    exact_x = Fraction(x)
-    table = _cached_table(n, REC)
-    if exact_x >= Fraction(1, n):
-        return table.coeffs[math.floor(n * exact_x)]
-    return table.coeffs[1]
+    return _step_value(n, REC, x)
 
 
 def phin_value(n: int, x: float) -> int:
     """Step extension of the srec counts, branches tested in order.
 
-    Exact-rational branch tests keep the middle branch index inside
-    [3, n(n+1)/2 - 2], clear of both zero coefficients.
+    Exact branch tests keep the middle branch index inside
+    [3, n(n+1)/2 - 2], clear of both zero coefficients.  Each call
+    builds its row.
 
     >>> phin_value(5, 0.0)
     24
     >>> phin_value(5, 1.0)
     1
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    exact_x = Fraction(x)
-    pairs = n * (n + 1)
-    if exact_x < Fraction(6, pairs):
-        return math.factorial(n - 1)
-    if exact_x >= 1 - Fraction(2, pairs):
-        return 1
-    return _cached_table(n, SREC).coeffs[math.floor(srec_max(n) * exact_x)]
+    return _step_value(n, SREC, x)
 
 
 def _segment_plan(
@@ -190,7 +192,7 @@ def _segments(n: int, stat: str, row: Sequence[int]) -> list[tuple[float, float,
 
 def _row_for(n: int, stat: str, table: CountTable | None) -> tuple[int, ...]:
     if table is None:
-        return _cached_table(n, stat).coeffs
+        return (rec_table(n) if stat == REC else srec_table(n)).coeffs
     if table.n != n or table.kind != stat:
         raise ValueError("supplied table does not match (n, stat)")
     return table.coeffs
@@ -300,10 +302,9 @@ def curve_samples(
     else:
         if num_points < 2:
             raise ValueError("num_points must be >= 2")
-        value_at = fn_value if stat == REC else phin_value
         for i in range(num_points):
             x = i / (num_points - 1)
-            samples.append((x, big_ln(value_at(n, x)) / n_ln_n))
+            samples.append((x, big_ln(row[_step_index(n, stat, x)]) / n_ln_n))
     return ScaledCurve(n, stat, tuple(samples))
 
 

@@ -111,9 +111,8 @@ def check_rec_row_vs_polynomial(ns: Iterable[int]) -> None:
             raise CheckFailure(f"polynomial product differs at n={n}")
 
 
-def check_srec_extremes(ns: Iterable[int]) -> None:
-    for n in ns:
-        row = tables.srec_table(n).coeffs
+def check_srec_extremes(rows: Rows) -> None:
+    for n, row in rows:
         top = tables.srec_max(n)
         if not row[1] == math.factorial(n - 1):
             raise CheckFailure(f"C({n},1) wrong")
@@ -293,44 +292,36 @@ def check_srec_count_bounds(rows: Rows, slack: float) -> None:
 # ------------------------------------------------------------- scaling
 
 
-def check_psi_at_one(ns: Iterable[int]) -> None:
-    for n in ns:
-        if not scaling.fn_value(n, 1.0) == 1:
-            raise CheckFailure(f"f_{n}(1) != 1")
-        if not scaling.phin_value(n, 1.0) == 1:
-            raise CheckFailure(f"phi_{n}(1) != 1")
+def check_psi_at_one(rec_rows: Rows, srec_rows: Rows) -> None:
+    for kind, name, rows in ((REC, "f", rec_rows), (SREC, "phi", srec_rows)):
+        for n, row in rows:
+            if not row[scaling._step_index(n, kind, 1.0)] == 1:
+                raise CheckFailure(f"{name}_{n}(1) != 1")
 
 
-def check_values_match_tables(ns: Iterable[int]) -> None:
-    # Breakpoints land as the nearest float: the step value must come
-    # from the coefficient at k, or at k-1 when the float dipped below
+def check_values_match_tables(rec_rows: Rows, srec_rows: Rows) -> None:
+    # Breakpoints x = k/top land as the nearest float: the step value must
+    # come from the coefficient at k, or at k-1 when the float dipped below
     # the cut, and exactly from k whenever the quotient is representable.
-    for n in ns:
-        rec_row = tables.rec_table(n)
-        for k in range(1, n + 1):
-            x = k / n
-            got = scaling.fn_value(n, x)
-            if got not in {rec_row.coeffs[k], rec_row.coeffs[max(k - 1, 1)]}:
-                raise CheckFailure(f"fn_value off at n={n}, k={k}")
-            if Fraction(x) == Fraction(k, n) and not got == rec_row.coeffs[k]:
-                raise CheckFailure(f"fn_value misses exact cut at n={n}, k={k}")
-        srec_row = tables.srec_table(n)
-        top = tables.srec_max(n)
-        for k in range(4, top - 2):
-            x = 2 * k / (n * (n + 1))
-            got = scaling.phin_value(n, x)
-            if got not in {srec_row.coeffs[k], srec_row.coeffs[k - 1]}:
-                raise CheckFailure(f"phin_value off at n={n}, k={k}")
-            if Fraction(x) == Fraction(k, top) and not got == srec_row.coeffs[k]:
-                raise CheckFailure(f"phin_value misses exact cut at n={n}, k={k}")
+    # For srec, k = 4 .. top-3 keeps k and k-1 inside the middle branch.
+    for kind, rows in ((REC, rec_rows), (SREC, srec_rows)):
+        for n, row in rows:
+            top = n if kind == REC else tables.srec_max(n)
+            for k in range(1, n + 1) if kind == REC else range(4, top - 2):
+                x = k / top
+                got = row[scaling._step_index(n, kind, x)]
+                if not (got == row[k] or got == row[max(k - 1, 1)]):
+                    raise CheckFailure(f"{kind} step value off at n={n}, k={k}")
+                p, q = x.as_integer_ratio()
+                if p * top == k * q and not got == row[k]:
+                    raise CheckFailure(f"{kind} step value misses exact cut at n={n}, k={k}")
 
 
-def check_segment_interiors(ns: Sequence[int], seed: int) -> None:
+def check_segment_interiors(rec_rows: Rows, srec_rows: Rows, seed: int) -> None:
     rng = random.Random(seed)
-    for stat in (REC, SREC):
-        for n in ns:
-            report = scaling.sup_deviation(n, stat)
-            row = scaling._row_for(n, stat, None)
+    for stat, rows in ((REC, rec_rows), (SREC, srec_rows)):
+        for n, row in rows:
+            report = scaling._sup_from_row(n, stat, row)
             segments = scaling._segments(n, stat, row)
             for _ in range(10):
                 x_lo, x_hi, value = segments[rng.randrange(len(segments))]
@@ -344,7 +335,7 @@ def check_segment_interiors(ns: Sequence[int], seed: int) -> None:
                     if not abs(y - scaling.target_value(stat, x)) <= end_dev + 1e-12:
                         raise CheckFailure(f"interior deviation exceeds endpoints at n={n}")
                 if not end_dev <= report.sup_dev + 1e-12:
-                    raise CheckFailure("segment exceeds reported sup")
+                    raise CheckFailure(f"{stat} segment exceeds reported sup at n={n}")
 
 
 def check_tau_window(reports: Iterable[scaling.DeviationReport], window_hi: int) -> float:
@@ -453,6 +444,17 @@ def _upto(cap: int, low: int = 1) -> Callable[[int], tuple]:
     return lambda m: (range(low, min(m, cap) + 1),)
 
 
+def _sweep(kind: str, low: int, high: int) -> Rows:
+    """The rows n = low..high of one in-place row sweep of ``kind``."""
+    rows = tables.iter_rec_rows(high) if kind == REC else tables.iter_srec_rows(high)
+    return itertools.islice(rows, low - 1, None)
+
+
+def _both_sweeps(m: int) -> tuple[Rows, Rows]:
+    """The rec and the srec rows n = 2..m, where the step curves are defined."""
+    return _sweep(REC, 2, m), _sweep(SREC, 2, m)
+
+
 # (label, check, the check's arguments at a given max_n)
 _CHECKS: dict[str, list[tuple[str, Callable[..., object], Callable[[int], tuple]]]] = {
     "core": [
@@ -464,7 +466,7 @@ _CHECKS: dict[str, list[tuple[str, Callable[..., object], Callable[[int], tuple]
          lambda m: (tables.iter_rec_rows(m), tables.iter_srec_rows(m))),
         ("rec rows equal direct polynomial products", check_rec_row_vs_polynomial, _upto(50)),
         ("srec extremes and zero positions", check_srec_extremes,
-         lambda m: (range(3, max(m, 3) + 1),)),
+         lambda m: (_sweep(SREC, 3, max(m, 3)),)),
         ("sampled record frequencies are 1/k", check_record_frequencies,
          lambda m: (min(max(m, 4), 10), _SEED)),
         ("sampled rec distribution matches c(4,k)/24", check_sampled_rec_distribution,
@@ -493,11 +495,10 @@ _CHECKS: dict[str, list[tuple[str, Callable[..., object], Callable[[int], tuple]
          _from(3, "needs n >= 3", lambda m: (tables.iter_srec_rows(min(m, 60)), _SLACK))),
     ],
     "scaling": [
-        ("scaled curves vanish at x = 1", check_psi_at_one, lambda m: (range(2, m + 1),)),
-        ("step values match table lookups", check_values_match_tables,
-         lambda m: (range(2, m + 1),)),
+        ("scaled curves vanish at x = 1", check_psi_at_one, _both_sweeps),
+        ("step values match table lookups", check_values_match_tables, _both_sweeps),
         ("interior deviation below endpoint deviation", check_segment_interiors,
-         lambda m: (range(2, m + 1), _SEED + 2)),
+         lambda m: (*_both_sweeps(m), _SEED + 2)),
         ("tau series bounded (rec)", check_tau_window,
          lambda m: (scaling.tau_series(REC, 2, m), min(m, 50))),
         ("tau series bounded (srec)", check_tau_window,

@@ -5,11 +5,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recstats.scaling import (
     DeviationReport,
-    _cached_table,
     _segments,
+    _step_index,
     curve_csv,
     curve_samples,
     fn_value,
@@ -114,11 +116,38 @@ class TestStepFunctions:
             for k in range(1, n + 1):
                 assert fn_value(n, k / n) == row.coeffs[k]
 
-    def test_sweep_over_n_keeps_two_rows(self):
-        _cached_table.cache_clear()
-        for n in range(20, 61):
-            assert phin_value(n, 0.5) == srec_table(n).coeffs[math.floor(srec_max(n) * 0.5)]
-            assert _cached_table.cache_info().currsize <= 2
+
+def step_index_oracle(n: int, stat: str, x: float) -> int:
+    """The step curves' branch tests and floor, in Fractions: the row index of the value at x."""
+    exact = Fraction(x)
+    if stat == REC:
+        return math.floor(n * exact) if exact >= Fraction(1, n) else 1
+    pairs = n * (n + 1)
+    if exact < Fraction(6, pairs):
+        return 1  # C(n, 1) = (n-1)!
+    if exact >= 1 - Fraction(2, pairs):
+        return srec_max(n)  # C(n, top) = 1
+    return math.floor(srec_max(n) * exact)
+
+
+class TestStepIndex:
+    """The integer branch tests on x.as_integer_ratio() against the Fraction oracle."""
+
+    def test_breakpoints_and_neighbours(self):
+        for n in range(2, 61):
+            pairs = n * (n + 1)
+            cuts = {k / n for k in range(n + 1)} | {2 * k / pairs for k in range(pairs // 2 + 1)}
+            xs = {0.0, 1.0, 5e-324}
+            for x in cuts:
+                xs |= {x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)}
+            for x in xs:
+                for stat in (REC, SREC):
+                    assert _step_index(n, stat, x) == step_index_oracle(n, stat, x), (n, stat, x)
+
+    @given(st.integers(2, 300), st.floats(0.0, 1.0))
+    def test_random_points(self, n, x):
+        for stat in (REC, SREC):
+            assert _step_index(n, stat, x) == step_index_oracle(n, stat, x)
 
 
 class TestSegments:

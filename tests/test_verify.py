@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from recstats import extremal, probabilities, scaling, tables, verify
-from recstats.tables import REC, CountTable
+from recstats.tables import REC, SREC, CountTable
 from recstats.verify import CheckFailure
 
 
@@ -71,3 +71,26 @@ def test_verify_command_reports_the_planted_input(monkeypatch):
     lines = []
     assert not verify.run_suite("bounds", 12, emit=lines.append)
     assert "FAIL bounds: closed-form i0 equals greedy i0: i0 forms differ at n=10, k=20" in lines
+
+
+@pytest.mark.parametrize("kind, n, k", [(REC, 12, 5), (SREC, 9, 20)])
+def test_step_values_match_tables(monkeypatch, kind, n, k):
+    top = n if kind == REC else tables.srec_max(n)
+    monkeypatch.setattr(scaling, "_step_index", wrong_at(
+        scaling._step_index, (n, kind, k / top), lambda i: i + 2))
+    with pytest.raises(CheckFailure, match=rf"^{kind} step value off at n={n}, k={k}$"):
+        verify.check_values_match_tables(*verify._both_sweeps(20))
+
+
+def test_srec_extremes():
+    rows = [(n, list(row)) for n, row in tables.iter_srec_rows(10)][2:]  # n = 3..10
+    rows[4][1][-1] += 1  # C(7, top)
+    with pytest.raises(CheckFailure, match=r"^C\(7,max\) wrong$"):
+        verify.check_srec_extremes(rows)
+
+
+def test_segment_interiors(monkeypatch):
+    monkeypatch.setattr(scaling, "_sup_from_row", wrong_at(
+        scaling._sup_from_row, (17, SREC), lambda r: dataclasses.replace(r, sup_dev=0.0)))
+    with pytest.raises(CheckFailure, match=r"^srec segment exceeds reported sup at n=17$"):
+        verify.check_segment_interiors(*verify._both_sweeps(30), 7)
