@@ -72,15 +72,15 @@ def rec_prob_bounds(n: int, x: float) -> tuple[float, float]:
 
     Returns (log_lower, log_upper) with
     lower = (n - k)! / (n * n!) and upper = 2^n / k!.  The domain test
-    and the floor are exact in the binary value of ``x``, which pins k
-    inside [1, n].
+    and the floor run in integers on x = p/q from ``x.as_integer_ratio()``,
+    the exact binary value of ``x``, which pins k inside [1, n].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    exact_x = Fraction(x)
-    if not Fraction(1, n) <= exact_x <= 1:
+    p, q = x.as_integer_ratio()
+    if not (q <= n * p and p <= q):
         raise ValueError(f"x must lie in [1/n, 1], got {x}")
-    k = math.floor(n * exact_x)
+    k = n * p // q
     log_lower = big_ln(math.factorial(n - k)) - math.log(n) - big_ln(math.factorial(n))
     log_upper = n * math.log(2.0) - big_ln(math.factorial(k))
     return log_lower, log_upper

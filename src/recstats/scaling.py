@@ -10,10 +10,12 @@ and the log counts collapse onto simple curves:
 uniformly on [0, 1], at speed O(1/ln n).  Here f_n(x) is c(n, floor(nx))
 for x >= 1/n and c(n, 1) below, and phi_n(x) is a three-branch step
 curve: (n-1)! before 6/(n(n+1)), the constant 1 from 1 - 2/(n(n+1)) on,
-and C(n, floor(n(n+1)x/2)) in between.  The branch cuts dodge the two
-zero coefficients, so logs always exist.  Branches are tested in that
-order; for n = 2 the first branch swallows [0, 1) and the middle one is
-vacuous.
+and C(n, floor(n(n+1)x/2)) in between.  Both are one shape, with the
+end branches row[1] and row[top] of the count row (c(n, 1) = C(n, 1) =
+(n-1)!, C(n, top) = 1), and ``_cuts`` states the cuts for both.  The
+branch cuts dodge the two zero coefficients, so logs always exist.
+Branches are tested in that order; for n = 2 the first branch swallows
+[0, 1) and the middle one is vacuous.
 
 The sup deviation from the target curve is computed exactly, never by
 grid search: psi_n is constant on segments while the target decreases,
@@ -52,7 +54,6 @@ from typing import Iterable, Sequence
 from .tables import (
     REC,
     SREC,
-    CountTable,
     big_ln,
     iter_rec_rows,
     iter_srec_rows,
@@ -99,24 +100,37 @@ def target_value(stat: str, x: float) -> float:
     return 1.0 - x if stat == REC else math.sqrt(1.0 - x)
 
 
+def _cuts(n: int, stat: str) -> tuple[int, int, int]:
+    """(top, a, b): the branch cuts of the step curve, in units of 1/top.
+
+    The curve is row[1] on [0, a/top), row[floor(top x)] on
+    [a/top, b/top) and row[top] from b/top on, branches tested in that
+    order; for srec n = 2, a > b and the first branch covers [0, 1).
+    """
+    if stat == REC:
+        return n, 1, n
+    top = srec_max(n)
+    return top, 3, top - 1
+
+
 def _step_index(n: int, stat: str, x: float) -> int:
     """The k whose count is the step value at x: f_n(x) = row[k] (rec), phi_n(x) = row[k] (srec).
 
     The branch tests and the floor run in integers on x = p/q from
     ``x.as_integer_ratio()``, the exact binary value of ``x``, so a test
-    and the floor beside it can never disagree at a cut.  phi_n's end
-    branches are row entries too: (n-1)! = C(n, 1) and 1 = C(n, top).
+    and the floor beside it can never disagree at a cut.
     """
+    top, a, b = _cuts(n, stat)
     p, q = x.as_integer_ratio()
-    if stat == REC:
-        return (n * p) // q if n * p >= q else 1
-    pairs = n * (n + 1)
-    if p * pairs < 6 * q:
+    if p * top < a * q:
         return 1
-    top = pairs // 2
-    if p * pairs >= (pairs - 2) * q:
+    if p * top >= b * q:
         return top
     return (top * p) // q
+
+
+def _row(n: int, stat: str) -> tuple[int, ...]:
+    return (rec_table(n) if stat == REC else srec_table(n)).coeffs
 
 
 def _step_value(n: int, stat: str, x: float) -> int:
@@ -124,7 +138,7 @@ def _step_value(n: int, stat: str, x: float) -> int:
         raise ValueError("n must be >= 2")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    return _row_for(n, stat, None)[_step_index(n, stat, x)]
+    return _row(n, stat)[_step_index(n, stat, x)]
 
 
 def fn_value(n: int, x: float) -> int:
@@ -160,22 +174,13 @@ def phin_value(n: int, x: float) -> int:
 def _segment_plan(
     n: int, stat: str, row: Sequence[int]
 ) -> tuple[tuple[float, float, int], int, range, tuple[float, float, int]]:
-    """(first segment, top, middle k range, last segment) of the step curve.
+    """(first segment, top, middle k range, last segment) of the step curve, on ``_cuts``.
 
     Middle segment k is (k/top, (k+1)/top, row[k]); the first and last
-    segments are the special branches at the two ends of [0, 1].
+    segments are the end branches row[1] and row[top].
     """
-    if stat == REC:
-        return (0.0, 1.0 / n, row[1]), n, range(1, n), (1.0, 1.0, row[n])
-    top = srec_max(n)
-    first_cut = min(3.0 / top, 1.0)
-    # middle branch k = 3 .. top-2 is empty for n = 2
-    return (
-        (0.0, first_cut, math.factorial(n - 1)),
-        top,
-        range(3, top - 1),
-        (max(first_cut, (top - 1.0) / top), 1.0, 1),
-    )
+    top, a, b = _cuts(n, stat)
+    return (0.0, a / top, row[1]), top, range(a, b), (max(a, b) / top, 1.0, row[top])
 
 
 def _segments(n: int, stat: str, row: Sequence[int]) -> list[tuple[float, float, int]]:
@@ -188,14 +193,6 @@ def _segments(n: int, stat: str, row: Sequence[int]) -> list[tuple[float, float,
     segs.extend((k / top, (k + 1) / top, row[k]) for k in middle)
     segs.append(last)
     return segs
-
-
-def _row_for(n: int, stat: str, table: CountTable | None) -> tuple[int, ...]:
-    if table is None:
-        return (rec_table(n) if stat == REC else srec_table(n)).coeffs
-    if table.n != n or table.kind != stat:
-        raise ValueError("supplied table does not match (n, stat)")
-    return table.coeffs
 
 
 def _exact_scan(
@@ -238,7 +235,7 @@ def _sup_from_row(n: int, stat: str, row: Sequence[int]) -> DeviationReport:
     return DeviationReport(n, stat, best_dev, best_dev * math.log(n), best_x)
 
 
-def sup_deviation(n: int, stat: str, table: CountTable | None = None) -> DeviationReport:
+def sup_deviation(n: int, stat: str) -> DeviationReport:
     """Exact sup over [0, 1] of |scaled curve - target|, and tau = sup * ln n.
 
     The report is the one from evaluating every constant segment at both
@@ -247,8 +244,8 @@ def sup_deviation(n: int, stat: str, table: CountTable | None = None) -> Deviati
     provably cannot hold the sup, by the bit lengths of their smallest
     and largest values, are skipped (see the module docstring).  A value
     below 1 raises ValueError, checked per block before any block is
-    skipped.  On count rows the scan allocates O(sqrt(len)) memory on
-    top of the row.
+    skipped.  The count row of (n, stat) is built here; on it the scan
+    allocates O(sqrt(len)) memory.  ``tau_series`` scans a range of n.
 
     >>> r = sup_deviation(2, "rec")
     >>> (r.sup_dev, r.argmax_x)
@@ -257,7 +254,7 @@ def sup_deviation(n: int, stat: str, table: CountTable | None = None) -> Deviati
     _check_stat(stat)
     if n < 2:
         raise ValueError("n must be >= 2")
-    return _sup_from_row(n, stat, _row_for(n, stat, table))
+    return _sup_from_row(n, stat, _row(n, stat))
 
 
 def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
@@ -276,22 +273,20 @@ def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     return [_sup_from_row(n, stat, row) for n, row in rows if n >= n_min]
 
 
-def curve_samples(
-    n: int,
-    stat: str,
-    num_points: int | None = None,
-    table: CountTable | None = None,
-) -> ScaledCurve:
+def curve_samples(n: int, stat: str, num_points: int | None = None) -> ScaledCurve:
     """The scaled curve sampled at its breakpoints or on an even grid.
 
     ``num_points=None`` samples every segment's left endpoint plus x = 1
     (the full step structure); an integer asks for that many evenly
-    spaced points, and needs num_points >= 2.
+    spaced points, and needs num_points >= 2.  The arguments are checked
+    before the row is built.
     """
     _check_stat(stat)
     if n < 2:
         raise ValueError("n must be >= 2")
-    row = _row_for(n, stat, table)
+    if num_points is not None and num_points < 2:
+        raise ValueError("num_points must be >= 2")
+    row = _row(n, stat)
     n_ln_n = n * math.log(n)
     samples: list[tuple[float, float]] = []
     if num_points is None:
@@ -300,8 +295,6 @@ def curve_samples(
         if samples[-1][0] != 1.0:
             samples.append((1.0, big_ln(row[-1]) / n_ln_n))
     else:
-        if num_points < 2:
-            raise ValueError("num_points must be >= 2")
         for i in range(num_points):
             x = i / (num_points - 1)
             samples.append((x, big_ln(row[_step_index(n, stat, x)]) / n_ln_n))

@@ -10,9 +10,9 @@ runs with ranges scaled to ``--max-n``.
 
 import time
 
-from recstats import Permutation, lehmer_encode, records, srec_max, sup_deviation
+from recstats import Permutation, lehmer_encode, records, srec_max, tau_series
 from recstats.cli import main
-from recstats.tables import REC, SREC, CountTable
+from recstats.tables import REC, SREC
 from recstats.verify import (
     check_estimate_trend,
     check_gamma_squeeze,
@@ -89,22 +89,14 @@ def test_criterion_5_extremal_structure():
     _report(f"PASS criterion 5: extremal structure ({elapsed:.1f}s)")
 
 
-def test_criterion_6_rec_uniform_convergence(rec_rows_300):
-    c_emp = check_tau_window(
-        (sup_deviation(n, REC, table=CountTable(n, REC, tuple(rec_rows_300[n])))
-         for n in range(2, 201)),
-        50,
-    )
+def test_criterion_6_rec_uniform_convergence():
+    c_emp = check_tau_window(tau_series(REC, 2, 200), 50)
     _report(f"PASS criterion 6: rec certificate (C_emp = {c_emp:.4f}, n <= 200)")
 
 
-def test_criterion_7_srec_certificate_and_figures(tmp_path, capsys, srec_rows_150):
+def test_criterion_7_srec_certificate_and_figures(tmp_path, capsys):
     started = time.monotonic()
-    c_emp = check_tau_window(
-        (sup_deviation(n, SREC, table=CountTable(n, SREC, tuple(srec_rows_150[n])))
-         for n in range(2, 151)),
-        50,
-    )
+    c_emp = check_tau_window(tau_series(SREC, 2, 150), 50)
 
     tau_path = tmp_path / "tau_srec.csv"
     assert main(["tau", "--stat", "srec", "--n-min", "2", "--n-max", "50",

@@ -414,6 +414,8 @@ GOLDEN = [
     ("tau --stat rec --n-min 2 --n-max 12", "000c8fd4734fa93713819b8d6025458e3f11e78439509b3ec2bc6c27cf546a5f"),
     ("curve --stat srec --n 12 --points 5", "f6f2aadd137c87eabd980ab925f27eaf12b329b7dffe2ab947ca4acdfbbde242"),
     ("curve --stat rec --n 9", "b009b1237f53f96fa53a68f0495fd439977b52af6540b584fb8c3ab8123acbad"),
+    ("curve --stat srec --n 2", "5885734be281c9ca9a4acaf83820ce7d1e0826feca81b9c16e0391da0194fa1d"),
+    ("curve --stat srec --n 7", "a2139474d353344183b9fe38f5f9dce8b1e61c5a90fc814ea7d8f86651fd78e1"),
     ("deviation --stat srec --n 10", "5d1d719121aaf178c5a31d619373d8fa3439ef04e2903e97e243e79bd11b6867"),
     ("deviation --stat rec --n 10", "d7c504fac0b9ea759a9f9d2179f11d8c375ca78db58e818daff6f2741f2b3ccb"),
     ("min-product --n 8 --k 20", "c688ea10b39a400009f46a821d8dff117a5903615f0d85a7c61d3a7a0f6061b0"),

@@ -155,6 +155,43 @@ class TestRecBounds:
         with pytest.raises(ValueError):
             rec_prob_bounds(10, 1.2)
 
+    def test_integer_rule_matches_fraction_oracle(self):
+        for n in range(1, 60):
+            points = {0.0, -0.5, 1.5}
+            for k in range(n + 1):
+                x = k / n
+                points |= {x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf),
+                           (k + 0.5) / n}
+            for x in points:
+                assert outcome(rec_prob_bounds, n, x) == outcome(rec_prob_bounds_oracle, n, x), (n, x)
+
+    def test_non_finite_x(self):
+        with pytest.raises(ValueError):
+            rec_prob_bounds(10, math.nan)
+        with pytest.raises(OverflowError):
+            rec_prob_bounds(10, math.inf)
+
+
+def rec_prob_bounds_oracle(n: int, x: float) -> tuple[float, float]:
+    """rec_prob_bounds with its domain test and floor in Fractions."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    exact_x = Fraction(x)
+    if not Fraction(1, n) <= exact_x <= 1:
+        raise ValueError(f"x must lie in [1/n, 1], got {x}")
+    k = math.floor(n * exact_x)
+    log_lower = big_ln(math.factorial(n - k)) - math.log(n) - big_ln(math.factorial(n))
+    log_upper = n * math.log(2.0) - big_ln(math.factorial(k))
+    return log_lower, log_upper
+
+
+def outcome(bounds, n: int, x: float):
+    """The pair ``bounds`` returns, or the ValueError message it raises."""
+    try:
+        return bounds(n, x)
+    except ValueError as exc:
+        return str(exc)
+
 
 class TestSrecBounds:
     def test_full_tuple(self):

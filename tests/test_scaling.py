@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from recstats import scaling
 from recstats.scaling import (
     DeviationReport,
     _segments,
@@ -21,7 +22,7 @@ from recstats.scaling import (
     tau_csv,
     tau_series,
 )
-from recstats.tables import REC, SREC, CountTable, big_ln, rec_table, srec_max, srec_table
+from recstats.tables import REC, SREC, big_ln, rec_table, srec_max, srec_table
 
 
 def full_scan_sup(n: int, stat: str, row) -> DeviationReport:
@@ -40,7 +41,7 @@ def full_scan_sup(n: int, stat: str, row) -> DeviationReport:
 
 
 def scan_row(n: int, stat: str, row) -> DeviationReport:
-    return sup_deviation(n, stat, table=CountTable(n, stat, tuple(row)))
+    return scaling._sup_from_row(n, stat, row)
 
 
 def int_with_scaled_log(target: float, n_ln_n: float) -> int | None:
@@ -165,6 +166,18 @@ class TestSegments:
         for _, _, value in _segments(6, SREC, srec_table(6).coeffs):
             assert value > 0
 
+    def test_segments_agree_with_step_index(self):
+        # the list form and the integer branch tests read the same row entries
+        for stat in (REC, SREC):
+            for n in range(2, 41):
+                row = (rec_table(n) if stat == REC else srec_table(n)).coeffs
+                segs = _segments(n, stat, row)
+                for x_lo, x_hi, value in segs:
+                    if x_lo < x_hi:
+                        mid = (x_lo + x_hi) / 2
+                        assert row[_step_index(n, stat, mid)] == value, (stat, n, mid)
+                assert row[_step_index(n, stat, 1.0)] == segs[-1][2], (stat, n)
+
 
 class TestSupDeviation:
     def test_rec_n2_by_hand(self):
@@ -201,12 +214,6 @@ class TestSupDeviation:
                     for _ in range(25):
                         x = rng.uniform(lo, hi)
                         assert abs(y - target_value(stat, x)) <= end_dev + 1e-12
-
-    def test_supplied_table_must_match(self):
-        with pytest.raises(ValueError):
-            sup_deviation(5, REC, table=rec_table(6))
-        with pytest.raises(ValueError):
-            sup_deviation(5, REC, table=srec_table(5))
 
 
 class TestPrunedScanMatchesFullScan:
@@ -303,7 +310,7 @@ class TestPrunedScanMatchesFullScan:
         row_bytes = sys.getsizeof(table.coeffs) + sum(map(sys.getsizeof, table.coeffs))
         tracemalloc.start()
         try:
-            sup_deviation(120, SREC, table=table)
+            scaling._sup_from_row(120, SREC, table.coeffs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -349,6 +356,15 @@ class TestCurveSamples:
         assert curve.samples[0][0] == 0.0 and curve.samples[-1][0] == 1.0
         with pytest.raises(ValueError):
             curve_samples(12, SREC, num_points=1)
+
+    def test_num_points_checked_before_the_row(self, monkeypatch):
+        def no_rows(n):
+            raise AssertionError("row built before num_points was checked")
+
+        monkeypatch.setattr(scaling, "rec_table", no_rows)
+        monkeypatch.setattr(scaling, "srec_table", no_rows)
+        with pytest.raises(ValueError, match="^num_points must be >= 2$"):
+            curve_samples(400, SREC, 1)
 
     def test_breakpoint_count_srec(self):
         curve = curve_samples(8, SREC)
