@@ -12,20 +12,17 @@ v + 2) decide real witnesses.
 
 The DP keeps one value row (the minimal products) plus, for each j,
 bits saying whether j is taken; the witness is backtracked from those
-bits alone.  A cold call fills only the band of cells that can still
-reach the sum k - 1: at level j, the sums s that {j, ..., n} can form
-and that {2, ..., j-1} can still lift to k - 1.  So k <= n costs about
-k^2/2 big-integer products, the widest cold band, at k near n(n+1)/4,
-about 0.29 of the full table's n^3/3, and k near n(n+1)/2 is nearly
-free.  The full table, n^3/3 products, O(n^2) big integers and O(n^3)
-bits (under 8 MB of bits at the cap), is still reached by a sweep over
-many k, whose cached window grows to cover them all; it caps n at
-EXTREMAL_LIMIT = 500, checked before anything is allocated.  One table
-per n is cached, least recently used dropped first while the cached
-value rows together exceed srec_max(EXTREMAL_LIMIT) entries, about one
-full table at the cap; a call whose sum lies outside the cached window
-rebuilds it with at least twice the width, so a sweep over every k at
-one n, in any order, costs a few builds.
+bits alone.  Each call fills one band of cells and keeps nothing: at
+level j, the sums s that {j, ..., n} can form and that {2, ..., j-1}
+can still lift into the window of sums the call asks for.  A single k
+(min_product) costs about k^2/2 big-integer products for k <= n, at
+most about 0.29 of the full table's n^3/3 at k near n(n+1)/4, and
+almost nothing at k near n(n+1)/2.  A sweep names its k up front
+(iter_min_products) and builds one window from min(ks) - 1 to
+max(ks) - 1; over every k it is the full table, n^3/3 products, O(n^2)
+big integers and O(n^3) bits (under 8 MB of bits at the cap).  That
+table caps n at EXTREMAL_LIMIT = 500, checked before anything is
+allocated.
 
 For k <= n the minimum is k - 1, realized by (1, k-1).  For larger k
 the threshold index i_0(n, k), the greatest i with
@@ -37,16 +34,15 @@ C(n, k) between Gamma(n-i_0)/(n e^n) and 2^n Gamma(n-i_0).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .tables import srec_max
 from .temme import log_gamma
 
-# A cold min_product fills only the band of sums that can reach k - 1, at
-# most about 0.29 of n^3/3 products; the cap is set by the full table, which
-# a sweep over many k still grows to: about n^3/3 products and n^3/2 bits
+# min_product fills only the band of sums that can reach k - 1, at most
+# about 0.29 of n^3/3 products; the cap is set by the full table, which a
+# sweep over every k builds: about n^3/3 products and n^3/2 bits
 EXTREMAL_LIMIT = 500
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
@@ -101,11 +97,12 @@ def _dp_table(
     inside the band of level j + 1, so every cell of a band is exact:
     ``best[s]`` and every ``taken`` bit agree with the full table
     (low = 0, limit = n(n+1)/2 - 1) for s in [low, limit] and inside
-    band j, and ``taken[j]`` is zero below band j.  The backtrack in
-    min_product from any s in [low, limit] stays inside the bands.  With
-    low = 0 this is the prefix table, about limit^2/2 cells when
-    limit < n; a single sum (low = limit = k - 1) costs at most about
-    0.29 n^3/3 cells, at k near n(n+1)/4, and few near n(n+1)/2.
+    band j, and ``taken[j]`` is zero below band j.  The backtrack of
+    iter_min_products from any s in [low, limit] stays inside the
+    bands.  With low = 0 this is the prefix table, about limit^2/2
+    cells when limit < n; a single sum (low = limit = k - 1) costs at
+    most about 0.29 n^3/3 cells, at k near n(n+1)/4, and few near
+    n(n+1)/2.
     The ``<=`` keeps j on ties, so the backtrack can pick the
     lexicographically smallest witness.  No (j, s) with optimal subsets
     both with and without j was found for n <= 120 (``<`` gives the
@@ -135,69 +132,57 @@ def _dp_table(
     return best, taken
 
 
-# n -> (low, limit, best, taken), least recently used first
-_tables: OrderedDict[int, tuple[int, int, list[int | None], list[int]]] = OrderedDict()
-
-
-def _table_for(n: int, s: int) -> tuple[list[int | None], list[int]]:
-    """The cached DP table of n, exact at the sum s.
-
-    One table per n is kept.  Least recently used tables are dropped
-    while the kept ``best`` lists together hold more than
-    srec_max(EXTREMAL_LIMIT) entries, about one full table at the cap;
-    the table just used, at most srec_max(n) entries, always stays.
-    A cold call builds the single sum [s, s].  A table whose window
-    [low, limit] misses s is rebuilt to cover s with the window widened
-    by its old width on both sides (clipped to [0, n(n+1)/2 - 1]), so
-    its width at least doubles and a sweep over every k at one n, in
-    any order, costs a few builds rather than one per k.
-    """
-    entry = _tables.pop(n, None)
-    if entry is None:
-        entry = (s, s, *_dp_table(n, s, s))
-    elif not entry[0] <= s <= entry[1]:
-        low, limit = entry[0], entry[1]
-        width = limit - low + 1
-        low = max(0, min(s, low) - width)
-        limit = min(srec_max(n) - 1, max(s, limit) + width)
-        entry = (low, limit, *_dp_table(n, limit, low))
-    _tables[n] = entry
-    while sum(len(kept[2]) for kept in _tables.values()) > srec_max(EXTREMAL_LIMIT):
-        _tables.popitem(last=False)
-    return entry[2], entry[3]
-
-
 def min_product(n: int, k: int) -> ExtremalResult:
     """Exact m(n, k) with a witness, by subset-sum DP over {2, ..., n}.
 
-    A cold call fills only the cells from which the sum k - 1 is still
-    reachable: about k^2/2 products for k <= n, at most about 0.29 of
-    the full table's n^3/3, at k near n(n+1)/4, and few for k near
-    n(n+1)/2.  If several tuples share the minimal product, the
-    lexicographically smallest one is returned: the backtrack walks
-    elements upward and keeps j whenever some optimal subset contains
-    it.  Such ties were not found for n <= 120, so this rule is a
-    safeguard rather than a behaviour the tests can observe.
+    The single-sum sweep of :func:`iter_min_products`: it fills only the
+    cells from which the sum k - 1 is still reachable, about k^2/2
+    products for k <= n, at most about 0.29 of the full table's n^3/3,
+    at k near n(n+1)/4, and few for k near n(n+1)/2.  Nothing is kept
+    between calls, so a loop over many k at one n pays a band each
+    time; such a loop names its k up front to :func:`iter_min_products`.
 
     >>> min_product(6, 12)
     ExtremalResult(n=6, k=12, m=30, witness=(1, 5, 6))
     >>> min_product(10, 7).witness
     (1, 6)
     """
-    _check_feasible(n, k)
-    s = k - 1
-    best, taken = _table_for(n, s)
-    m = best[s]
-    if m is None:
-        raise ValueError(f"k={k} is infeasible for n={n}")  # unreachable after _check_feasible
-    witness = [1]
-    for j in range(2, n + 1):
-        if s == 0:
-            break
-        if taken[j] >> s & 1:
-            witness.append(j)
-            s -= j
-    return ExtremalResult(n, k, m, tuple(witness))
+    return next(iter_min_products(n, (k,)))
+
+
+def iter_min_products(n: int, ks: Iterable[int]) -> Iterator[ExtremalResult]:
+    """m(n, k) with a witness for each k of ``ks``, in the order given.
+
+    Every k is checked, when the first result is requested, before
+    anything is allocated; then one DP window covers the sums
+    min(ks) - 1 .. max(ks) - 1, and each result is backtracked from it.
+    The results equal those of :func:`min_product` one k at a time; a
+    sweep over every feasible k at one n builds the full table once,
+    about n^3/3 products.  If several tuples share the minimal product,
+    the lexicographically smallest one is returned: the backtrack walks
+    elements upward and keeps j whenever some optimal subset contains
+    it.  Such ties were not found for n <= 120, so this rule is a
+    safeguard rather than a behaviour the tests can observe.
+
+    >>> [(r.k, r.m, r.witness) for r in iter_min_products(6, (12, 4, 21))]
+    [(12, 30, (1, 5, 6)), (4, 3, (1, 3)), (21, 720, (1, 2, 3, 4, 5, 6))]
+    """
+    ks = tuple(ks)
+    for k in ks:
+        _check_feasible(n, k)
+    if not ks:
+        return
+    best, taken = _dp_table(n, max(ks) - 1, min(ks) - 1)
+    for k in ks:
+        s = k - 1
+        witness = [1]
+        for j in range(2, n + 1):
+            if s == 0:
+                break
+            if taken[j] >> s & 1:
+                witness.append(j)
+                s -= j
+        yield ExtremalResult(n, k, best[k - 1], tuple(witness))
 
 
 def _check_i0_domain(n: int, k: int) -> None:

@@ -9,6 +9,7 @@ from recstats.extremal import (
     format_witness,
     gamma_bounds,
     i0_closed,
+    iter_min_products,
     min_product,
     srec_count_bounds,
 )
@@ -104,9 +105,9 @@ class TestMinProduct:
     def test_matches_full_table_oracle(self):
         # brute force stops at n = 15; past it the full-table DP is the reference
         for n in range(16, 61):
-            for k, expected in full_table_minimum(n).items():
-                got = min_product(n, k)
-                assert (got.m, got.witness) == expected, f"n={n}, k={k}"
+            expected = full_table_minimum(n)
+            for got in iter_min_products(n, feasible_ks(n)):
+                assert (got.m, got.witness) == expected[got.k], f"n={n}, k={got.k}"
 
     def test_prefix_matches_full_table(self):
         # a table filled to any limit equals the full one on s <= limit
@@ -156,57 +157,54 @@ class TestMinProduct:
         # each call builds its own single-sum window
         for n in range(16, 41):
             for k, expected in full_table_minimum(n).items():
-                extremal._tables.clear()
                 got = min_product(n, k)
                 assert (got.m, got.witness) == expected, f"n={n}, k={k}"
-        extremal._tables.clear()
 
     @pytest.mark.parametrize("n", [30, 45])
-    def test_results_do_not_depend_on_call_order(self, n):
-        # a table grown by doubling answers as a cold one does
+    def test_sweep_equals_single_calls(self, n):
+        # one window over the named k answers as one cold call per k does
         ks = feasible_ks(n)
-        extremal._tables.clear()
-        ascending = {k: min_product(n, k) for k in ks}
         shuffled = ks[:]
         random.Random(n).shuffle(shuffled)
-        extremal._tables.clear()
-        assert {k: min_product(n, k) for k in shuffled} == ascending
-        extremal._tables.clear()
-        assert {k: min_product(n, k) for k in reversed(ks)} == ascending
-        for k in random.Random(n + 1).sample(ks, 8):
-            extremal._tables.clear()
-            assert min_product(n, k) == ascending[k]
+        for order in (ks, shuffled, ks[::-1], list(range(n + 1, 2 * n))):
+            assert list(iter_min_products(n, order)) == [min_product(n, k) for k in order]
 
-    def test_cache_keeps_about_one_full_table(self, monkeypatch):
-        # the kept value rows together stay within srec_max(EXTREMAL_LIMIT)
-        # entries, however many n a sweep visits; evicted tables rebuild exactly
-        monkeypatch.setattr(extremal, "EXTREMAL_LIMIT", 30)
-        budget = srec_max(30)
-        extremal._tables.clear()
-        try:
-            for n in range(25, 31):
-                expected = full_table_minimum(n)
-                for k in feasible_ks(n):
-                    got = min_product(n, k)
-                    assert (got.m, got.witness) == expected[k], f"n={n}, k={k}"
-                    kept = sum(len(entry[2]) for entry in extremal._tables.values())
-                    assert kept <= budget, f"n={n}, k={k}: {kept} entries kept"
-                    assert n in extremal._tables
-        finally:
-            extremal._tables.clear()
+    def test_calls_share_no_state(self, monkeypatch):
+        # every call builds its own window, whatever ran before it
+        calls = []
+        dp_table = extremal._dp_table
+
+        def recording(*args):
+            calls.append(args)
+            return dp_table(*args)
+
+        monkeypatch.setattr(extremal, "_dp_table", recording)
+        for k in (40, 900, 40):
+            calls.clear()
+            assert min_product(60, k).k == k
+            assert calls == [(60, k - 1, k - 1)]
+
+    def test_sweep_checks_every_k_first(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("_dp_table ran before the k were checked")
+
+        monkeypatch.setattr(extremal, "_dp_table", never)
+        top = srec_max(10)
+        for ks in ((2, 5, 7), (5, 7, 2), (5, top - 1, 7), (5, 7, top + 1), (0, 5)):
+            with pytest.raises(ValueError):
+                list(iter_min_products(10, ks))
+        assert list(iter_min_products(10, ())) == []
 
     def test_dp_memory_stays_quadratic(self):
         # The full-table DP peaked at 11.9 MB under tracemalloc (CPython 3.11.7);
         # one value row plus packed bits peaks at about 0.4 MB.  The bound is
         # 1/8 of the former.
-        extremal._tables.clear()
         tracemalloc.start()
         try:
             min_product(100, srec_max(100) // 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            extremal._tables.clear()
         assert peak < 1.5e6, f"min_product(100, k) peaked at {peak / 1e6:.2f} MB"
 
     def test_structure_small_k(self):
