@@ -4,25 +4,41 @@ The minimum product m(n, k) over admissible record-position tuples.
 A tuple (v_1, ..., v_r) is admissible for (k, n) when v_1 = 1, r <= n,
 v_1 < v_2 < ... < v_r <= n and v_1 + ... + v_r = k; such a tuple exists
 iff k is a feasible srec value, i.e. k != 2 and k != n(n+1)/2 - 1.
-m(n, k) is the smallest product v_1 * ... * v_r over admissible tuples.
-It controls two-sided bounds on the srec counts C(n, k), so it has to
-be exact: the dynamic program below compares big-integer products
-directly, never logs, because ties and hairline margins (2v versus
-v + 2) decide real witnesses.
+m(n, k) is the smallest product v_1 * ... * v_r over admissible tuples,
+i.e. the least product of a subset S of {2, ..., n} with sum k - 1.  It
+controls two-sided bounds on the srec counts C(n, k), so it has to be
+exact: candidates are compared as big-integer products, never logs,
+because ties and hairline margins (2v versus v + 2) decide real
+witnesses.
 
-The DP keeps one value row (the minimal products) plus, for each j,
-bits saying whether j is taken; the witness is backtracked from those
-bits alone.  Each call fills one band of cells and keeps nothing: at
-level j, the sums s that {j, ..., n} can form and that {2, ..., j-1}
-can still lift into the window of sums the call asks for.  A single k
-(min_product) costs about k^2/2 big-integer products for k <= n, at
-most about 0.29 of the full table's n^3/3 at k near n(n+1)/4, and
-almost nothing at k near n(n+1)/2.  A sweep names its k up front
-(iter_min_products) and builds one window from min(ks) - 1 to
-max(ks) - 1; over every k it is the full table, n^3/3 products, O(n^2)
-big integers and O(n^3) bits (under 8 MB of bits at the cap).  That
-table caps n at EXTREMAL_LIMIT = 500, checked before anything is
-allocated.
+Only sets of one shape can be optimal.  Take a < b in S with a >= 3,
+a - 1 not in S, b <= n - 1 and b + 1 not in S.  Trading {a, b} for
+{a - 1, b + 1} keeps the sum and keeps the elements distinct, and
+changes the product of the pair by (a - 1)(b + 1) - ab = a - b - 1 < 0,
+so S was not optimal.  In an optimal S, then, every element that can
+move down lies above every element that can move up.  Split S into
+maximal runs of consecutive integers.  The bottom of a run can move
+down unless the run starts at 2, and its top can move up unless the run
+ends at n.  So at most one run starts above 2 and ends below n, and it
+is a single element; a run starting at 2 lies below it and a run ending
+at n above it.  Every optimal S is therefore
+
+    S = [2..p] + {x} + [q..n],  p < x < q,
+
+where any of the three parts may be empty (p = 1, x absent, q = n + 1).
+
+The search walks q = n + 1, n, ... while sum[q..n] <= k - 1; with
+r = k - 1 - sum[q..n], the prefix [2..p] sums to p(p+1)/2 - 1 and
+leaves x = r - p(p+1)/2 + 1, which must be 0 (no middle element) or lie
+strictly between p and q.  The p with 0 <= x < q form one interval,
+found with two integer square roots; each candidate's product is
+p! * q (q+1) ... n * x, read from prefix and suffix products built once
+per call.  The walk over q makes about i0(n, k) + 2 passes (defined
+below), each with a few p, so one k costs O(n) big-integer products
+and memory holds the O(n) big integers of the two product tables.
+Since every optimal set is a candidate, the least (m, witness) pair
+over the candidates is m(n, k) with the lexicographically smallest
+optimal witness.
 
 For k <= n the minimum is k - 1, realized by (1, k-1).  For larger k
 the threshold index i_0(n, k), the greatest i with
@@ -35,17 +51,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .tables import srec_max
 from .temme import log_gamma
 
-# min_product fills only the band of sums that can reach k - 1, at most
-# about 0.29 of n^3/3 products; the cap is set by the full table, which a
-# sweep over every k builds: about n^3/3 products and n^3/2 bits
+# the search costs O(n) big-integer products per k, so its cost does not
+# set this cap; the cap stays until one cost model sets every cap
 EXTREMAL_LIMIT = 500
-
-_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True)
@@ -71,7 +86,7 @@ def _check_feasible(n: int, k: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > EXTREMAL_LIMIT:
-        raise ValueError(f"the minimum-product DP is limited to n <= {EXTREMAL_LIMIT}, got {n}")
+        raise ValueError(f"the minimum product is limited to n <= {EXTREMAL_LIMIT}, got {n}")
     top = srec_max(n)
     if not 1 <= k <= top:
         raise ValueError(f"k={k} outside [1, {top}] for n={n}")
@@ -79,68 +94,45 @@ def _check_feasible(n: int, k: int) -> None:
         raise ValueError(f"k={k} is infeasible for n={n}: no admissible tuple exists")
 
 
-def _dp_table(
-    n: int, limit: int, low: int = 0
-) -> tuple[list[int | None], list[int]]:
-    """Subset-sum DP over {2, ..., n} for the window of sums [low, limit].
+def _products(n: int) -> tuple[list[int], list[int]]:
+    """(fact, tail): fact[p] = p!, tail[t] = n (n-1) ... (n-t+1), the top t of {1, ..., n}."""
+    return (list(accumulate(range(1, n + 1), mul, initial=1)),
+            list(accumulate(range(n, 0, -1), mul, initial=1)))
 
-    ``best[s]`` is the minimal product of a subset of {2, ..., n} summing
-    to s (None when no subset does; the empty one gives best[0] = 1).
-    Bit s of ``taken[j]`` is set when some optimal subset of {j, ..., n}
-    summing to s contains j.  Elements are offered from n down to 2 and
-    s runs downward, so best[s - j] still excludes j when it is read.
 
-    Level j fills only its band: the sums that subsets of {j, ..., n}
-    can reach (at most total - srec_max(j-1)) and that {2, ..., j-1},
-    which adds at most srec_max(j-1) - 1, can still lift to low.  The
-    band at level j reads best[s - j] with s - j >= low - srec_max(j) + 1,
-    inside the band of level j + 1, so every cell of a band is exact:
-    ``best[s]`` and every ``taken`` bit agree with the full table
-    (low = 0, limit = n(n+1)/2 - 1) for s in [low, limit] and inside
-    band j, and ``taken[j]`` is zero below band j.  The backtrack of
-    iter_min_products from any s in [low, limit] stays inside the
-    bands.  With low = 0 this is the prefix table, about limit^2/2
-    cells when limit < n; a single sum (low = limit = k - 1) costs at
-    most about 0.29 n^3/3 cells, at k near n(n+1)/4, and few near
-    n(n+1)/2.
-    The ``<=`` keeps j on ties, so the backtrack can pick the
-    lexicographically smallest witness.  No (j, s) with optimal subsets
-    both with and without j was found for n <= 120 (``<`` gives the
-    same witnesses there), so the rule is a safeguard that no test can
-    tell apart from ``<``.
-    """
-    total = srec_max(n)
-    best: list[int | None] = [None] * (limit + 1)
-    best[0] = 1
-    taken = [0] * (n + 1)
-    for j in range(n, 1, -1):
-        rest = srec_max(j - 1)  # {2, ..., j-1} adds at most rest - 1
-        top = min(limit, total - rest)
-        bottom = max(j, low - rest + 1)
-        if top < bottom:
-            continue
-        mark = bytearray(top - bottom + 1)
-        for s in range(top, bottom - 1, -1):
-            reach = best[s - j]
-            if reach is not None:
-                cand = reach * j
-                cur = best[s]
-                if cur is None or cand <= cur:
-                    best[s] = cand
-                    mark[s - bottom] = 1
-        taken[j] = int(mark[::-1].translate(_BITS), 2) << bottom
-    return best, taken
+def _triangle_floor(v: int) -> int:
+    """The greatest p >= 0 with p(p+1)/2 <= v, for v >= 0."""
+    return (math.isqrt(8 * v + 1) - 1) // 2
+
+
+def _least(n: int, s: int, fact: list[int], tail: list[int]) -> tuple[int, tuple[int, ...]]:
+    """(m, witness) for the sum s = k - 1, over the sets [2..p] + {x} + [q..n]."""
+    best: list[tuple[int, int, int]] = []  # every (p, x, q) reaching best_m
+    best_m = 0
+    for q in range(n + 1, 1, -1):
+        r = s - (n + q) * (n + 1 - q) // 2  # the sum left for [2..p] + {x}
+        if r < 0:
+            break
+        # p(p+1)/2 - 1 in [r - q + 1, r], i.e. 0 <= x <= q - 1
+        last = min(_triangle_floor(r + 1), q - 1)
+        for p in range(_triangle_floor(max(r - q + 1, 0)) + 1, last + 1):
+            x = r + 1 - p * (p + 1) // 2
+            if x == 0 or p < x:
+                m = fact[p] * tail[n + 1 - q] * (x or 1)
+                if not best or m < best_m:
+                    best, best_m = [(p, x, q)], m
+                elif m == best_m:
+                    best.append((p, x, q))
+    witnesses = ((1, *range(2, p + 1), *((x,) if x else ()), *range(q, n + 1)) for p, x, q in best)
+    return best_m, min(witnesses)
 
 
 def min_product(n: int, k: int) -> ExtremalResult:
-    """Exact m(n, k) with a witness, by subset-sum DP over {2, ..., n}.
+    """Exact m(n, k) with a witness, by the search over [2..p] + {x} + [q..n].
 
-    The single-sum sweep of :func:`iter_min_products`: it fills only the
-    cells from which the sum k - 1 is still reachable, about k^2/2
-    products for k <= n, at most about 0.29 of the full table's n^3/3,
-    at k near n(n+1)/4, and few for k near n(n+1)/2.  Nothing is kept
-    between calls, so a loop over many k at one n pays a band each
-    time; such a loop names its k up front to :func:`iter_min_products`.
+    The single-k case of :func:`iter_min_products`: about i0(n, k) + 2
+    values of q, each with a few p, so O(n) big-integer products, and
+    nothing is kept between calls.
 
     >>> min_product(6, 12)
     ExtremalResult(n=6, k=12, m=30, witness=(1, 5, 6))
@@ -154,15 +146,13 @@ def iter_min_products(n: int, ks: Iterable[int]) -> Iterator[ExtremalResult]:
     """m(n, k) with a witness for each k of ``ks``, in the order given.
 
     Every k is checked, when the first result is requested, before
-    anything is allocated; then one DP window covers the sums
-    min(ks) - 1 .. max(ks) - 1, and each result is backtracked from it.
-    The results equal those of :func:`min_product` one k at a time; a
-    sweep over every feasible k at one n builds the full table once,
-    about n^3/3 products.  If several tuples share the minimal product,
-    the lexicographically smallest one is returned: the backtrack walks
-    elements upward and keeps j whenever some optimal subset contains
-    it.  Such ties were not found for n <= 120, so this rule is a
-    safeguard rather than a behaviour the tests can observe.
+    anything is built; then the prefix and suffix products of
+    {1, ..., n} are built once and each k is searched over the sets of
+    the module docstring's shape.  The results equal those of
+    :func:`min_product` one k at a time.  If several tuples share the
+    minimal product, the lexicographically smallest one is returned, as
+    in ``oracles.min_product_brute_force``; no (n, k) with two optimal
+    sets was found for n <= 120, so no test can observe this rule.
 
     >>> [(r.k, r.m, r.witness) for r in iter_min_products(6, (12, 4, 21))]
     [(12, 30, (1, 5, 6)), (4, 3, (1, 3)), (21, 720, (1, 2, 3, 4, 5, 6))]
@@ -172,17 +162,10 @@ def iter_min_products(n: int, ks: Iterable[int]) -> Iterator[ExtremalResult]:
         _check_feasible(n, k)
     if not ks:
         return
-    best, taken = _dp_table(n, max(ks) - 1, min(ks) - 1)
+    fact, tail = _products(n)
     for k in ks:
-        s = k - 1
-        witness = [1]
-        for j in range(2, n + 1):
-            if s == 0:
-                break
-            if taken[j] >> s & 1:
-                witness.append(j)
-                s -= j
-        yield ExtremalResult(n, k, best[k - 1], tuple(witness))
+        m, witness = _least(n, k - 1, fact, tail)
+        yield ExtremalResult(n, k, m, witness)
 
 
 def _check_i0_domain(n: int, k: int) -> None:

@@ -4,7 +4,7 @@ Oracles: slow, independent routes to what the production modules compute fast.
 Each reaches its answer by a road the production path does not take, so
 agreement between the two means something: all n! permutations against
 the row recurrences of :mod:`recstats.tables`, every subset of
-{2, ..., n} against the minimum-product DP, a bisect over partial sums
+{2, ..., n} against the minimum-product search, a bisect over partial sums
 against the closed-form i0, sums of record-set weights against the count
 rows, and 1/(u + j) summed term by term against the telescoped phi'.
 The checks of :mod:`recstats.verify` compare the two routes.

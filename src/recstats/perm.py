@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -136,19 +136,19 @@ def lehmer_decode(code: tuple[int, ...]) -> Permutation:
     >>> lehmer_decode((0, 0, 0)).entries
     (1, 2, 3)
     """
-    return _decode(code, tuple(range(1, len(code) + 1)))
-
-
-def _decode(code: tuple[int, ...], values: tuple[int, ...]) -> Permutation:
-    # values is (1, ..., n); the decoded entries are those very int objects,
-    # so draws that share one values tuple share their entries' ints
     for i, r in enumerate(code, start=1):
         if not isinstance(r, int) or not 0 <= r <= i - 1:
             raise ValueError(f"code digit r_{i}={r} outside [0, {i - 1}]")
+    return _decode(code, tuple(range(1, len(code) + 1)))
+
+
+def _decode(code: Sequence[int], values: tuple[int, ...]) -> Permutation:
+    # digits in range, values (1, ..., n): the entries are those very int
+    # objects, so draws that share one values tuple share their entries' ints
     remaining = list(values)
     out = [0] * len(code)
     for i in range(len(code), 0, -1):
-        out[i - 1] = remaining.pop(len(remaining) - 1 - code[i - 1])
+        out[i - 1] = remaining.pop(i - 1 - code[i - 1])
     return Permutation(tuple(out))
 
 
@@ -156,9 +156,9 @@ def sample_uniform(n: int, seed: int) -> Permutation:
     """One uniform random permutation of {1, ..., n}, deterministic in (n, seed).
 
     The generator is Python's Mersenne Twister (``random.Random(seed)``);
-    one code digit is drawn per position with ``randrange(i)`` for
-    i = 1..n in order and the digits are decoded, so the output is
-    reproducible across runs and platforms.
+    one code digit is drawn per position, i = 1..n in order, as
+    ``randrange(i)`` would draw it, and the digits are decoded, so the
+    output is reproducible across runs and platforms.
     """
     return next(iter_uniform(n, seed, 1))
 
@@ -166,19 +166,28 @@ def sample_uniform(n: int, seed: int) -> Permutation:
 def iter_uniform(n: int, seed: int, count: int) -> Iterator[Permutation]:
     """``count`` permutations drawn from the single stream seeded once, one at a time.
 
-    :func:`sample_uniform` is the first draw.  All draws decode into the
-    same value objects, and the arguments are checked when the first
-    permutation is requested.
+    :func:`sample_uniform` is the first draw.  Digit r_i is
+    ``getrandbits(i.bit_length())`` drawn until it is < i, the loop
+    ``randrange(i)`` runs on CPython 3.10 and 3.11, so the stream is the
+    one ``randrange`` gives.  All draws decode into the same value
+    objects, and the arguments are checked when the first permutation
+    is requested.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 0:
         raise ValueError("count must be >= 0")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     values = tuple(range(1, n + 1))
+    widths = [(i, i.bit_length()) for i in values]
     for _ in range(count):
-        # independent digits r_i uniform on [0, i-1], then decode
-        yield _decode(tuple(rng.randrange(i) for i in range(1, n + 1)), values)
+        code = []
+        for i, width in widths:
+            r = getrandbits(width)
+            while r >= i:
+                r = getrandbits(width)
+            code.append(r)
+        yield _decode(code, values)
 
 
 def sample_uniform_many(n: int, seed: int, count: int) -> list[Permutation]:

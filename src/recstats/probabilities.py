@@ -91,8 +91,8 @@ def srec_prob_bounds(n: int, k: int) -> tuple[float, float]:
 
     Returns (log_lower, log_upper) with lower = 1/(n * m(n,k)) and
     upper = 2^n / m(n,k).  The two k values with count zero have no
-    witness tuple and are rejected.  Each call runs its own DP; a loop
-    over many k at one n reads m from one ``iter_min_products`` sweep.
+    witness tuple and are rejected.  Each call runs its own search; a
+    loop over many k at one n reads m from one ``iter_min_products`` sweep.
     """
     return _srec_bracket(n, extremal.min_product(n, k).m)
 

@@ -154,7 +154,7 @@ class TestErrors:
 
     def test_min_product_cap_admits_limit(self, capsys):
         _check_feasible(EXTREMAL_LIMIT, 3)
-        # the DP fills sums up to k - 1 only, so small k at the cap is cheap
+        # every k at the cap costs O(n) big-integer products
         n = str(EXTREMAL_LIMIT)
         code, out, err = run(capsys, "min-product", "--n", n, "--k", "500")
         assert (code, err) == (0, "")

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -66,6 +68,17 @@ def full_table_minimum(n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     return results
 
 
+def has_the_shape(chosen: tuple[int, ...], n: int) -> bool:
+    """Whether a sorted subset of {2, ..., n} is [2..p] + {x} + [q..n]."""
+    low = 0
+    while low < len(chosen) and chosen[low] == low + 2:
+        low += 1
+    high = len(chosen)
+    while high > low and chosen[high - 1] == n - (len(chosen) - high):
+        high -= 1
+    return high - low <= 1
+
+
 def feasible_ks(n: int) -> list[int]:
     top = srec_max(n)
     return [k for k in range(1, top + 1) if k != 2 and k != top - 1]
@@ -104,54 +117,10 @@ class TestMinProduct:
 
     def test_matches_full_table_oracle(self):
         # brute force stops at n = 15; past it the full-table DP is the reference
-        for n in range(16, 61):
+        for n in [*range(16, 61), 100, 120]:
             expected = full_table_minimum(n)
             for got in iter_min_products(n, feasible_ks(n)):
                 assert (got.m, got.witness) == expected[got.k], f"n={n}, k={got.k}"
-
-    def test_prefix_matches_full_table(self):
-        # a table filled to any limit equals the full one on s <= limit
-        rng = random.Random(20)
-        for n in range(16, 61):
-            rows = full_table_rows(n)
-            total = srec_max(n)
-            full_taken = [
-                sum(1 << s for s in range(j, total) if j_reaches_minimum(rows, j, s))
-                if j >= 2 else 0
-                for j in range(n + 1)
-            ]
-            limits = {k - 1 for k in rng.sample(range(1, total + 1), 3)}
-            limits |= {(total // 3) | 1, total - 1}  # an odd limit > 1 and the full table
-            for limit in sorted(limits):
-                best, taken = extremal._dp_table(n, limit)
-                mask = (1 << (limit + 1)) - 1
-                assert best == rows[2][: limit + 1], f"n={n}, limit={limit}"
-                assert taken == [bits & mask for bits in full_taken], f"n={n}, limit={limit}"
-
-    def test_window_matches_full_table(self):
-        # a window [low, limit] is exact on its sums and fills only band j of level j
-        rng = random.Random(8)
-        for n in range(16, 61):
-            rows = full_table_rows(n)
-            total = srec_max(n)
-            full_taken = [
-                sum(1 << s for s in range(j, total) if j_reaches_minimum(rows, j, s))
-                if j >= 2 else 0
-                for j in range(n + 1)
-            ]
-            target = rng.randrange(total)
-            start = rng.randrange(total)
-            windows = {(target, target), (start, rng.randrange(start, total)),
-                       (0, rng.randrange(total)), (total - 1, total - 1)}
-            for low, limit in sorted(windows):
-                best, taken = extremal._dp_table(n, limit, low)
-                assert best[low:] == rows[2][low : limit + 1], f"n={n}, window=[{low}, {limit}]"
-                for j in range(2, n + 1):
-                    rest = srec_max(j - 1)
-                    bottom = max(j, low - rest + 1)
-                    top = min(limit, total - rest)
-                    band = ((1 << (top + 1)) - (1 << bottom)) if top >= bottom else 0
-                    assert taken[j] == full_taken[j] & band, f"n={n}, window=[{low}, {limit}], j={j}"
 
     def test_cold_calls_match_full_table_oracle(self):
         # each call builds its own single-sum window
@@ -170,35 +139,67 @@ class TestMinProduct:
             assert list(iter_min_products(n, order)) == [min_product(n, k) for k in order]
 
     def test_calls_share_no_state(self, monkeypatch):
-        # every call builds its own window, whatever ran before it
+        # every call builds its own product tables, whatever ran before it
         calls = []
-        dp_table = extremal._dp_table
+        products = extremal._products
 
         def recording(*args):
             calls.append(args)
-            return dp_table(*args)
+            return products(*args)
 
-        monkeypatch.setattr(extremal, "_dp_table", recording)
+        monkeypatch.setattr(extremal, "_products", recording)
         for k in (40, 900, 40):
             calls.clear()
             assert min_product(60, k).k == k
-            assert calls == [(60, k - 1, k - 1)]
+            assert calls == [(60,)]
 
     def test_sweep_checks_every_k_first(self, monkeypatch):
         def never(*args):
-            raise AssertionError("_dp_table ran before the k were checked")
+            raise AssertionError("the search ran before the k were checked")
 
-        monkeypatch.setattr(extremal, "_dp_table", never)
+        monkeypatch.setattr(extremal, "_products", never)
         top = srec_max(10)
         for ks in ((2, 5, 7), (5, 7, 2), (5, top - 1, 7), (5, 7, top + 1), (0, 5)):
             with pytest.raises(ValueError):
                 list(iter_min_products(10, ks))
         assert list(iter_min_products(10, ())) == []
+        # the patch is live: feasible k reach it
+        with pytest.raises(AssertionError, match="before the k were checked"):
+            list(iter_min_products(10, (5, 7)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_optimal_sets_have_the_shape(self, n):
+        # every subset of {2, ..., n} with the least product for its sum, not
+        # only the witness, is [2..p] + {x} + [q..n]: the lemma the search rests on
+        by_sum: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for size in range(n):
+            for chosen in itertools.combinations(range(2, n + 1), size):
+                by_sum.setdefault(sum(chosen), []).append((math.prod(chosen), chosen))
+        for s, subsets in by_sum.items():
+            least = min(m for m, _ in subsets)
+            for m, chosen in subsets:
+                if m == least:
+                    assert has_the_shape(chosen, n), f"n={n}, sum={s}: {chosen}"
+
+    def test_shape_predicate(self):
+        assert has_the_shape((), 6) and has_the_shape((2, 3, 5, 9, 10), 10)
+        assert not has_the_shape((3, 5), 10) and not has_the_shape((2, 4, 5, 6), 7)
+
+    @pytest.mark.parametrize("k,digest", [
+        (100, "fa61f539f739a1e7126cfd2439e13bee2e13e9963cd5f2727fa5717ecadba5a7"),
+        (31000, "c277677eee85939c893e3fc7f7278cbea6ba1a332344c3e4bd9c6c039a429fdd"),
+        (62811, "f89b53fc05e1a6f8ebbc47854433ee0ddd4c506cb105ba8efa4a3ed0866ac0d4"),
+        (125250, "dcec42dde850207e5dda55fad6d0a5d28563bbb593b776cfdeb3307349e7e184"),
+    ])
+    def test_pinned_at_the_cap(self, k, digest):
+        # sha256 of "m,witness", recorded from the subset-sum DP the search replaced
+        r = min_product(500, k)
+        assert hashlib.sha256(f"{r.m},{format_witness(r.witness)}".encode()).hexdigest() == digest
 
     def test_dp_memory_stays_quadratic(self):
         # The full-table DP peaked at 11.9 MB under tracemalloc (CPython 3.11.7);
-        # one value row plus packed bits peaks at about 0.4 MB.  The bound is
-        # 1/8 of the former.
+        # the search holds two tables of n big integers.  The bound is 1/8 of
+        # the former.
         tracemalloc.start()
         try:
             min_product(100, srec_max(100) // 2)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,13 @@ def permutations(draw, max_n: int = 32) -> Permutation:
 def codes(draw, max_n: int = 32) -> tuple[int, ...]:
     n = draw(st.integers(1, max_n))
     return tuple(draw(st.integers(0, i - 1)) for i in range(1, n + 1))
+
+
+def randrange_stream(n: int, seed: int, count: int):
+    """The sampler's stream written with randrange: digits r_i = randrange(i), decoded."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield lehmer_decode(tuple(rng.randrange(i) for i in range(1, n + 1)))
 
 
 class TestRecords:
@@ -143,6 +151,13 @@ class TestSampling:
     def test_iter_uniform_is_the_list_stream(self, n, seed, count):
         assert list(iter_uniform(n, seed, count)) == sample_uniform_many(n, seed, count)
         assert next(iter_uniform(n, seed, 1)) == sample_uniform(n, seed)
+
+    @pytest.mark.parametrize("n,seed,count", [
+        (1, 0, 50), (2, 5, 100), (4, 1, 5000), (10, 7, 2000), (37, 2**40, 200),
+        (300, 3, 20), (2000, 9, 3),
+    ])
+    def test_stream_is_the_randrange_stream(self, n, seed, count):
+        assert list(iter_uniform(n, seed, count)) == list(randrange_stream(n, seed, count))
 
     def test_draws_share_value_objects(self):
         a, b = sample_uniform_many(1000, 3, 2)

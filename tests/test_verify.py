@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from recstats import extremal, probabilities, scaling, tables, verify
+from recstats import extremal, perm, probabilities, scaling, tables, verify
 from recstats.tables import REC, SREC, CountTable
 from recstats.verify import CheckFailure
 
@@ -54,12 +54,12 @@ def sweep_wrong_at(n, k, change):
 
 
 def test_min_product_sweep_vs_bruteforce(monkeypatch):
-    # single calls keep the true DP, so only the sweep comparison can see the defect
+    # single calls keep the true search, so only the sweep comparison can see the defect
     sweep = extremal.iter_min_products
     monkeypatch.setattr(extremal, "min_product", lambda n, k: next(sweep(n, (k,))))
     monkeypatch.setattr(extremal, "iter_min_products", sweep_wrong_at(
         9, 20, lambda r: dataclasses.replace(r, m=r.m + 1)))
-    with pytest.raises(CheckFailure, match=r"^DP sweep differs from brute force at n=9, k=20$"):
+    with pytest.raises(CheckFailure, match=r"^sweep differs from brute force at n=9, k=20$"):
         verify.check_min_product_vs_bruteforce(range(1, 13))
 
 
@@ -107,6 +107,27 @@ def test_rec_bracket(monkeypatch):
         probabilities.rec_prob_bounds, (12, 5.5 / 12), lambda b: (b[0], b[0] - 1.0)))
     with pytest.raises(CheckFailure, match=r"at n=12, k=5$"):
         verify.check_rec_bounds_bracket(range(1, 31), 1e-9)
+
+
+def every_fifth_identity(n, seed, count):
+    """perm.iter_uniform, except that every fifth draw is the identity (all records)."""
+    identity = perm.Permutation(tuple(range(1, n + 1)))
+    for i, p in enumerate(perm.iter_uniform(n, seed, count)):
+        yield identity if i % 5 == 4 else p
+
+
+def test_record_frequencies(monkeypatch):
+    # position 2 is a record in 0.8/2 + 0.2 = 0.6 of the draws, not 1/2
+    monkeypatch.setattr(verify, "iter_uniform", every_fifth_identity)
+    with pytest.raises(CheckFailure, match=r"^record frequency at position 2 off"):
+        verify.check_record_frequencies(10, verify._SEED)
+
+
+def test_sampled_rec_distribution(monkeypatch):
+    # P(rec = 1) drops to 0.8 * 6/24 = 0.2 from 0.25
+    monkeypatch.setattr(verify, "iter_uniform", every_fifth_identity)
+    with pytest.raises(CheckFailure, match=r"^empirical P\(rec=1\) beyond 3 standard errors$"):
+        verify.check_sampled_rec_distribution(verify._SEED + 1)
 
 
 def test_verify_command_reports_the_planted_input(monkeypatch):
