@@ -16,7 +16,6 @@ from .extremal import (
     GammaBounds,
     gamma_bounds,
     i0_closed,
-    iter_min_products,
     min_product,
     srec_count_bounds,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "gamma_bounds",
     "i0_closed",
     "i0_greedy",
-    "iter_min_products",
     "iter_uniform",
     "lehmer_decode",
     "lehmer_encode",

@@ -27,18 +27,29 @@ at n above it.  Every optimal S is therefore
 
 where any of the three parts may be empty (p = 1, x absent, q = n + 1).
 
-The search walks q = n + 1, n, ... while sum[q..n] <= k - 1; with
-r = k - 1 - sum[q..n], the prefix [2..p] sums to p(p+1)/2 - 1 and
-leaves x = r - p(p+1)/2 + 1, which must be 0 (no middle element) or lie
-strictly between p and q.  The p with 0 <= x < q form one interval,
-found with two integer square roots; each candidate's product is
-p! * q (q+1) ... n * x, read from prefix and suffix products built once
-per call.  The walk over q makes about i0(n, k) + 2 passes (defined
-below), each with a few p, so one k costs O(n) big-integer products
-and memory holds the O(n) big integers of the two product tables.
-Since every optimal set is a candidate, the least (m, witness) pair
-over the candidates is m(n, k) with the lexicographically smallest
-optimal witness.
+For one k, every optimal set is one of at most nine sets of this shape.
+Write an optimal S in normal form: [q..n] is the longest run of S that
+ends at n (q = n + 1 if n is not in S), and [2..p] the longest run that
+starts at 2 below q (p = 1 if there is none), so q - 1 is not in S, and
+p + 1 is not in S unless S = [2..n], where p = 1 and q = 2.  Let q0 = n - i0(n, k) be the least q with
+sum[q..n] <= k - 1 (i0 is defined below; q0 = n + 1 for k <= n).
+
+* p <= 3.  If p >= 4, then S != [2..n], so p + 1 is not in S, and
+  p + 1 < q since q - 1 is not in S, so p + 1 <= n.  Trading {2, p - 1}
+  for {p + 1} keeps the sum, and 2(p - 1) > p + 1, so S was not optimal.
+* q >= q0, because sum[q..n] <= k - 1 < sum[q0-1..n].
+* q <= q0 + 2.  Otherwise [q0..q-1] holds q - 1, q - 2 and q - 3, so
+  r = k - 1 - sum[q..n] >= 3q - 6.  But r = sum[2..p] + x with p <= 3
+  and x <= q - 2 (q - 1 is not in S), so r <= 5 + (q - 2).  That gives
+  q <= 4, while q >= q0 + 3 >= 5, as sum[1..n] > k - 1 makes q0 >= 2.
+
+Each (p, q) leaves one x = k - 1 - sum[q..n] - sum[2..p], which must be
+0 (no middle element) or lie strictly between p and q, so min_product
+tries at most nine sets, each of product p! * q (q+1) ... n * x.  That
+is a few products of at most log2 n! bits, and nothing is kept between
+calls.  Every optimal set is one of the candidates, so the least
+(m, witness) pair over the candidates is m(n, k) with the
+lexicographically smallest optimal witness.
 
 For k <= n the minimum is k - 1, realized by (1, k-1).  For larger k
 the threshold index i_0(n, k), the greatest i with
@@ -51,15 +62,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .tables import srec_max
 from .temme import log_gamma
 
-# the search costs O(n) big-integer products per k, so its cost does not
-# set this cap; the cap stays until one cost model sets every cap
+# one call costs a few products of at most log2 n! bits, so that cost does
+# not set this cap; the cap stays until one cost model sets every cap
 EXTREMAL_LIMIT = 500
 
 
@@ -94,78 +103,43 @@ def _check_feasible(n: int, k: int) -> None:
         raise ValueError(f"k={k} is infeasible for n={n}: no admissible tuple exists")
 
 
-def _products(n: int) -> tuple[list[int], list[int]]:
-    """(fact, tail): fact[p] = p!, tail[t] = n (n-1) ... (n-t+1), the top t of {1, ..., n}."""
-    return (list(accumulate(range(1, n + 1), mul, initial=1)),
-            list(accumulate(range(n, 0, -1), mul, initial=1)))
-
-
-def _triangle_floor(v: int) -> int:
-    """The greatest p >= 0 with p(p+1)/2 <= v, for v >= 0."""
-    return (math.isqrt(8 * v + 1) - 1) // 2
-
-
-def _least(n: int, s: int, fact: list[int], tail: list[int]) -> tuple[int, tuple[int, ...]]:
-    """(m, witness) for the sum s = k - 1, over the sets [2..p] + {x} + [q..n]."""
-    best: list[tuple[int, int, int]] = []  # every (p, x, q) reaching best_m
-    best_m = 0
-    for q in range(n + 1, 1, -1):
-        r = s - (n + q) * (n + 1 - q) // 2  # the sum left for [2..p] + {x}
-        if r < 0:
-            break
-        # p(p+1)/2 - 1 in [r - q + 1, r], i.e. 0 <= x <= q - 1
-        last = min(_triangle_floor(r + 1), q - 1)
-        for p in range(_triangle_floor(max(r - q + 1, 0)) + 1, last + 1):
-            x = r + 1 - p * (p + 1) // 2
-            if x == 0 or p < x:
-                m = fact[p] * tail[n + 1 - q] * (x or 1)
-                if not best or m < best_m:
-                    best, best_m = [(p, x, q)], m
-                elif m == best_m:
-                    best.append((p, x, q))
-    witnesses = ((1, *range(2, p + 1), *((x,) if x else ()), *range(q, n + 1)) for p, x, q in best)
-    return best_m, min(witnesses)
-
-
 def min_product(n: int, k: int) -> ExtremalResult:
-    """Exact m(n, k) with a witness, by the search over [2..p] + {x} + [q..n].
+    """Exact m(n, k) with a witness, from the at most nine candidate sets.
 
-    The single-k case of :func:`iter_min_products`: about i0(n, k) + 2
-    values of q, each with a few p, so O(n) big-integer products, and
-    nothing is kept between calls.
+    The candidates are the sets [2..p] + {x} + [q..n] of the module
+    docstring with p in {1, 2, 3} and q in {q0, q0 + 1, q0 + 2}.  For
+    k <= n, q0 = n + 1 and the least candidate is {k - 1}: m = k - 1
+    with witness (1, k - 1), or (1,) at k = 1.  If several tuples share
+    the minimal product, the lexicographically smallest one is returned,
+    as in ``oracles.min_product_brute_force``; no (n, k) with two optimal
+    sets was found for n <= 120, so no test can observe this rule.
 
     >>> min_product(6, 12)
     ExtremalResult(n=6, k=12, m=30, witness=(1, 5, 6))
     >>> min_product(10, 7).witness
     (1, 6)
     """
-    return next(iter_min_products(n, (k,)))
+    _check_feasible(n, k)
+    q0 = n - _i0(n, k)
+    candidates = []
+    for q in range(q0, min(q0 + 2, n + 1) + 1):
+        r = k - 1 - (n + q) * (n + 1 - q) // 2  # the sum left for [2..p] + {x}
+        for p in range(1, min(3, q - 1) + 1):
+            x = r + 1 - p * (p + 1) // 2
+            if x == 0 or p < x < q:
+                m = math.factorial(p) * math.perm(n, n + 1 - q) * (x or 1)
+                middle = (x,) if x else ()
+                candidates.append((m, (1, *range(2, p + 1), *middle, *range(q, n + 1))))
+    m, witness = min(candidates)
+    return ExtremalResult(n, k, m, witness)
 
 
-def iter_min_products(n: int, ks: Iterable[int]) -> Iterator[ExtremalResult]:
-    """m(n, k) with a witness for each k of ``ks``, in the order given.
+def _i0(n: int, k: int) -> int:
+    """:func:`i0_closed` without its domain checks.
 
-    Every k is checked, when the first result is requested, before
-    anything is built; then the prefix and suffix products of
-    {1, ..., n} are built once and each k is searched over the sets of
-    the module docstring's shape.  The results equal those of
-    :func:`min_product` one k at a time.  If several tuples share the
-    minimal product, the lexicographically smallest one is returned, as
-    in ``oracles.min_product_brute_force``; no (n, k) with two optimal
-    sets was found for n <= 120, so no test can observe this rule.
-
-    >>> [(r.k, r.m, r.witness) for r in iter_min_products(6, (12, 4, 21))]
-    [(12, 30, (1, 5, 6)), (4, 3, (1, 3)), (21, 720, (1, 2, 3, 4, 5, 6))]
+    Exact for any n >= 1 and 1 <= k <= n(n+1)/2; it is -1 for k <= n.
     """
-    ks = tuple(ks)
-    for k in ks:
-        _check_feasible(n, k)
-    if not ks:
-        return
-    fact, tail = _products(n)
-    for k in ks:
-        m, witness = _least(n, k - 1, fact, tail)
-        yield ExtremalResult(n, k, m, witness)
+    return (2 * n - 2 - math.isqrt(4 * n * n + 4 * n - 8 * k + 8)) // 2
 
 
 def _check_i0_domain(n: int, k: int) -> None:
@@ -192,7 +166,7 @@ def i0_closed(n: int, k: int) -> int:
         raise ValueError("i0 requires n >= 4")
     if not n + 1 <= k <= n * (n + 1) // 2:
         raise ValueError(f"i0 requires n+1 <= k <= n(n+1)/2, got n={n}, k={k}")
-    return (2 * n - 2 - math.isqrt(4 * n * n + 4 * n - 8 * k + 8)) // 2
+    return _i0(n, k)
 
 
 def gamma_bounds(n: int, k: int) -> GammaBounds:

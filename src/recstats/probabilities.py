@@ -91,15 +91,9 @@ def srec_prob_bounds(n: int, k: int) -> tuple[float, float]:
 
     Returns (log_lower, log_upper) with lower = 1/(n * m(n,k)) and
     upper = 2^n / m(n,k).  The two k values with count zero have no
-    witness tuple and are rejected.  Each call runs its own search; a
-    loop over many k at one n reads m from one ``iter_min_products`` sweep.
+    witness tuple and are rejected.
     """
-    return _srec_bracket(n, extremal.min_product(n, k).m)
-
-
-def _srec_bracket(n: int, m: int) -> tuple[float, float]:
-    """(log 1/(n m), log 2^n/m): the srec bracket at a minimum product m."""
-    log_m = big_ln(m)
+    log_m = big_ln(extremal.min_product(n, k).m)
     return -math.log(n) - log_m, n * math.log(2.0) - log_m
 
 

@@ -225,30 +225,26 @@ def check_rec_bounds_bracket(ns: Iterable[int], slack: float) -> None:
 def check_srec_bounds_bracket(rows: Rows, slack: float) -> None:
     for n, row in rows:
         fact_log = tables.big_ln(math.factorial(n))
-        for got in extremal.iter_min_products(n, _feasible_ks(n)):
-            lo, hi = probabilities._srec_bracket(n, got.m)
-            actual = tables.big_ln(row[got.k]) - fact_log
+        for k in _feasible_ks(n):
+            lo, hi = probabilities.srec_prob_bounds(n, k)
+            actual = tables.big_ln(row[k]) - fact_log
             if not lo - slack <= actual <= hi + slack:
-                raise CheckFailure(f"srec bracket fails at n={n}, k={got.k}")
+                raise CheckFailure(f"srec bracket fails at n={n}, k={k}")
 
 
 def check_min_product_vs_bruteforce(ns: Iterable[int]) -> None:
     for n in ns:
         best = oracles.min_product_brute_force(n)
-        ks = _feasible_ks(n)
-        for k in ks:
+        for k in _feasible_ks(n):
             got = extremal.min_product(n, k)
             if not (got.m, got.witness) == best[k]:
                 raise CheckFailure(f"min_product differs from brute force at n={n}, k={k}")
-        for got in extremal.iter_min_products(n, ks):
-            if not (got.m, got.witness) == best[got.k]:
-                raise CheckFailure(f"sweep differs from brute force at n={n}, k={got.k}")
 
 
 def check_small_k_structure(ns: Iterable[int]) -> None:
     for n in ns:
-        for got in extremal.iter_min_products(n, range(3, n + 1)):
-            k = got.k
+        for k in range(3, n + 1):
+            got = extremal.min_product(n, k)
             if not (got.m == k - 1 and got.witness == (1, k - 1)):
                 raise CheckFailure(f"m(n,k) != k-1 at n={n}, k={k}")
 
@@ -264,12 +260,13 @@ def check_i0_forms_agree(ns: Iterable[int]) -> None:
 def check_gamma_squeeze(ns: Iterable[int], slack: float) -> None:
     for n in ns:
         top = tables.srec_max(n)
-        ks = [k for k in range(n + 1, top + 1) if k != top - 1]
-        for got in extremal.iter_min_products(n, ks):
-            bounds = extremal.gamma_bounds(n, got.k)
-            log_m = tables.big_ln(got.m)
+        for k in range(n + 1, top + 1):
+            if k == top - 1:
+                continue
+            bounds = extremal.gamma_bounds(n, k)
+            log_m = tables.big_ln(extremal.min_product(n, k).m)
             if not bounds.log_lower - slack <= log_m <= bounds.log_upper + slack:
-                raise CheckFailure(f"gamma squeeze fails at n={n}, k={got.k}")
+                raise CheckFailure(f"gamma squeeze fails at n={n}, k={k}")
 
 
 def check_i0_sqrt_distance(ns: Iterable[int]) -> None:

@@ -1,17 +1,14 @@
 import hashlib
 import itertools
 import math
-import random
 import tracemalloc
 
 import pytest
 
-from recstats import extremal
 from recstats.extremal import (
     format_witness,
     gamma_bounds,
     i0_closed,
-    iter_min_products,
     min_product,
     srec_count_bounds,
 )
@@ -68,15 +65,24 @@ def full_table_minimum(n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     return results
 
 
+def normal_form(chosen: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...], int]:
+    """(p, middle, q) with chosen = [2..p] + middle + [q..n], for a sorted subset of {2, ..., n}.
+
+    [q..n] is the longest run of chosen that ends at n, and [2..p] the
+    longest run below q that starts at 2.
+    """
+    high = len(chosen)
+    while high > 0 and chosen[high - 1] == n - (len(chosen) - high):
+        high -= 1
+    low = 0
+    while low < high and chosen[low] == low + 2:
+        low += 1
+    return low + 1, chosen[low:high], n + 1 - (len(chosen) - high)
+
+
 def has_the_shape(chosen: tuple[int, ...], n: int) -> bool:
     """Whether a sorted subset of {2, ..., n} is [2..p] + {x} + [q..n]."""
-    low = 0
-    while low < len(chosen) and chosen[low] == low + 2:
-        low += 1
-    high = len(chosen)
-    while high > low and chosen[high - 1] == n - (len(chosen) - high):
-        high -= 1
-    return high - low <= 1
+    return len(normal_form(chosen, n)[1]) <= 1
 
 
 def feasible_ks(n: int) -> list[int]:
@@ -118,68 +124,34 @@ class TestMinProduct:
     def test_matches_full_table_oracle(self):
         # brute force stops at n = 15; past it the full-table DP is the reference
         for n in [*range(16, 61), 100, 120]:
-            expected = full_table_minimum(n)
-            for got in iter_min_products(n, feasible_ks(n)):
-                assert (got.m, got.witness) == expected[got.k], f"n={n}, k={got.k}"
-
-    def test_cold_calls_match_full_table_oracle(self):
-        # each call builds its own single-sum window
-        for n in range(16, 41):
             for k, expected in full_table_minimum(n).items():
                 got = min_product(n, k)
                 assert (got.m, got.witness) == expected, f"n={n}, k={k}"
 
-    @pytest.mark.parametrize("n", [30, 45])
-    def test_sweep_equals_single_calls(self, n):
-        # one window over the named k answers as one cold call per k does
-        ks = feasible_ks(n)
-        shuffled = ks[:]
-        random.Random(n).shuffle(shuffled)
-        for order in (ks, shuffled, ks[::-1], list(range(n + 1, 2 * n))):
-            assert list(iter_min_products(n, order)) == [min_product(n, k) for k in order]
-
-    def test_calls_share_no_state(self, monkeypatch):
-        # every call builds its own product tables, whatever ran before it
-        calls = []
-        products = extremal._products
-
-        def recording(*args):
-            calls.append(args)
-            return products(*args)
-
-        monkeypatch.setattr(extremal, "_products", recording)
-        for k in (40, 900, 40):
-            calls.clear()
-            assert min_product(60, k).k == k
-            assert calls == [(60,)]
-
-    def test_sweep_checks_every_k_first(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("the search ran before the k were checked")
-
-        monkeypatch.setattr(extremal, "_products", never)
-        top = srec_max(10)
-        for ks in ((2, 5, 7), (5, 7, 2), (5, top - 1, 7), (5, 7, top + 1), (0, 5)):
-            with pytest.raises(ValueError):
-                list(iter_min_products(10, ks))
-        assert list(iter_min_products(10, ())) == []
-        # the patch is live: feasible k reach it
-        with pytest.raises(AssertionError, match="before the k were checked"):
-            list(iter_min_products(10, (5, 7)))
+    def test_cold_calls_match_full_table_oracle(self):
+        # the same answers with k descending: no call leans on an earlier one
+        for n in range(40, 15, -1):
+            for k, expected in reversed(full_table_minimum(n).items()):
+                got = min_product(n, k)
+                assert (got.m, got.witness) == expected, f"n={n}, k={k}"
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_optimal_sets_have_the_shape(self, n):
         # every subset of {2, ..., n} with the least product for its sum, not
-        # only the witness, is [2..p] + {x} + [q..n]: the lemma the search rests on
+        # only the witness, is [2..p] + {x} + [q..n] with p <= 3 and
+        # q0 <= q <= q0 + 2: the lemma the nine candidates rest on
         by_sum: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         for size in range(n):
             for chosen in itertools.combinations(range(2, n + 1), size):
                 by_sum.setdefault(sum(chosen), []).append((math.prod(chosen), chosen))
         for s, subsets in by_sum.items():
+            q0 = min(q for q in range(2, n + 2) if sum(range(q, n + 1)) <= s)
             least = min(m for m, _ in subsets)
             for m, chosen in subsets:
                 if m == least:
-                    assert has_the_shape(chosen, n), f"n={n}, sum={s}: {chosen}"
+                    p, middle, q = normal_form(chosen, n)
+                    assert len(middle) <= 1, f"n={n}, sum={s}: {chosen}"
+                    assert p <= 3 and q0 <= q <= q0 + 2, f"n={n}, sum={s}: {chosen}"
 
     def test_shape_predicate(self):
         assert has_the_shape((), 6) and has_the_shape((2, 3, 5, 9, 10), 10)
@@ -198,8 +170,8 @@ class TestMinProduct:
 
     def test_dp_memory_stays_quadratic(self):
         # The full-table DP peaked at 11.9 MB under tracemalloc (CPython 3.11.7);
-        # the search holds two tables of n big integers.  The bound is 1/8 of
-        # the former.
+        # the search holds at most nine candidate products of at most
+        # log2 n! bits and their witnesses.  The bound is 1/8 of the former.
         tracemalloc.start()
         try:
             min_product(100, srec_max(100) // 2)
@@ -289,6 +261,28 @@ class TestGammaSqueeze:
                 bounds = gamma_bounds(n, k)
                 log_m = big_ln(min_product(n, k).m)
                 assert bounds.log_lower - 1e-9 <= log_m <= bounds.log_upper + 1e-9
+
+    def test_squeeze_of_width_ln_n(self):
+        """L <= m(n, k) < n L for k > n, with L = n!/(q0 - 1)! and q0 = n - i0.
+
+        The lower end is the Gamma squeeze's.  For the upper end take
+        q = q0 and r = k - 1 - sum[q0..n], so 0 <= r < q0 - 1 by the
+        definition of i0.  If r >= 2, the set {r} + [q0..n] is admissible,
+        so m <= rL < nL.  If r = 0, the set [q0..n] gives m = L.  If r = 1,
+        then q0 >= 3, and q0 = 3 would make k - 1 = sum[2..n] - 1, the
+        infeasible k; so q0 >= 4 and [q0+1..n] + {2, q0 - 1} gives
+        m <= 2L(q0 - 1)/q0 < 2L <= nL.  So ln m - ln L < ln n, where the
+        paper's squeeze leaves a gap of n.  At k = 2n - 1, where i0 = 0,
+        L = n and m = n(n - 2), the gap is ln(n - 2).
+        """
+        for n in range(4, 121):
+            top = srec_max(n)
+            for k in range(n + 1, top + 1):
+                if k == top - 1:
+                    continue
+                low = math.perm(n, i0_greedy(n, k) + 1)
+                assert low <= min_product(n, k).m < n * low, f"n={n}, k={k}"
+            assert min_product(n, 2 * n - 1).m == n * (n - 2)
 
     def test_sqrt_distance_bound(self):
         for n in range(4, 61):

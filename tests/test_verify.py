@@ -42,46 +42,25 @@ def test_min_product_vs_bruteforce(monkeypatch):
         verify.check_min_product_vs_bruteforce(range(1, 13))
 
 
-def sweep_wrong_at(n, k, change):
-    """extremal.iter_min_products, except that the result at (n, k) is change(result)."""
-    sweep = extremal.iter_min_products
-
-    def planted(n_, ks):
-        for r in sweep(n_, ks):
-            yield change(r) if (n_, r.k) == (n, k) else r
-
-    return planted
-
-
-def test_min_product_sweep_vs_bruteforce(monkeypatch):
-    # single calls keep the true search, so only the sweep comparison can see the defect
-    sweep = extremal.iter_min_products
-    monkeypatch.setattr(extremal, "min_product", lambda n, k: next(sweep(n, (k,))))
-    monkeypatch.setattr(extremal, "iter_min_products", sweep_wrong_at(
-        9, 20, lambda r: dataclasses.replace(r, m=r.m + 1)))
-    with pytest.raises(CheckFailure, match=r"^sweep differs from brute force at n=9, k=20$"):
-        verify.check_min_product_vs_bruteforce(range(1, 13))
-
-
 def test_small_k_structure(monkeypatch):
-    monkeypatch.setattr(extremal, "iter_min_products", sweep_wrong_at(
-        20, 7, lambda r: dataclasses.replace(r, m=r.m + 1)))
+    monkeypatch.setattr(extremal, "min_product", wrong_at(
+        extremal.min_product, (20, 7), lambda r: dataclasses.replace(r, m=r.m + 1)))
     with pytest.raises(CheckFailure, match=r"^m\(n,k\) != k-1 at n=20, k=7$"):
         verify.check_small_k_structure(range(3, 41))
 
 
 def test_gamma_squeeze(monkeypatch):
     # the lower end Gamma(n+1)/Gamma(1) is exactly m(10, 55) = 10!
-    monkeypatch.setattr(extremal, "iter_min_products", sweep_wrong_at(
-        10, 55, lambda r: dataclasses.replace(r, m=r.m - 1)))
+    monkeypatch.setattr(extremal, "min_product", wrong_at(
+        extremal.min_product, (10, 55), lambda r: dataclasses.replace(r, m=r.m - 1)))
     with pytest.raises(CheckFailure, match=r"^gamma squeeze fails at n=10, k=55$"):
         verify.check_gamma_squeeze(range(4, 41), 1e-9)
 
 
 def test_srec_bracket(monkeypatch):
     # the upper end 2^n/m falls below the old lower end 1/(n m)
-    monkeypatch.setattr(extremal, "iter_min_products", sweep_wrong_at(
-        12, 40, lambda r: dataclasses.replace(r, m=r.m * 4**r.n)))
+    monkeypatch.setattr(extremal, "min_product", wrong_at(
+        extremal.min_product, (12, 40), lambda r: dataclasses.replace(r, m=r.m * 4**r.n)))
     with pytest.raises(CheckFailure, match=r"^srec bracket fails at n=12, k=40$"):
         verify.check_srec_bounds_bracket(tables.iter_srec_rows(20), 1e-9)
 
