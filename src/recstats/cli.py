@@ -3,8 +3,11 @@ Command-line front end.
 
 Every subcommand is deterministic given its flags, writes either to
 stdout or atomically to ``--output`` (temp file plus rename, so a
-failed run leaves no partial file), and exits 0 on success, 2 on a
-usage error, 1 on a verification failure or I/O problem.
+failed run leaves no partial file; the file gets the permission bits a
+plain ``open()`` would give it), and exits 0 on success, 2 on a usage
+error, 1 on a verification failure or I/O problem.  Building the parser
+loads no layer but ``tables`` (see the package docstring); each handler
+loads the layers it calls.
 
 The table exports stream: rows go out a block at a time as they are
 formatted, so peak memory is about one count row plus its tuple of
@@ -20,13 +23,29 @@ import argparse
 import itertools
 import json
 import os
+import stat
 import sys
-import tempfile
 from typing import Iterable
 
-from . import extremal, probabilities, scaling, tables, temme, verify
-from .perm import Permutation, records, sample_uniform_many
+from . import extremal, perm, probabilities, scaling, tables, temme, verify
 from .tables import REC, SREC
+
+# verify.SUITES, stated here so that building the parser does not load
+# verify; tests/test_cli.py pins the two to each other
+_SUITES = ("core", "bounds", "scaling", "temme", "all")
+
+
+def _open_mode(path: str) -> int:
+    """The permission bits ``open(path, "w")`` would leave on ``path``.
+
+    An existing file keeps its own; a new one gets 0o666 less the umask.
+    """
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _write(chunks: Iterable[str], path: str | None) -> None:
@@ -37,9 +56,13 @@ def _write(chunks: Iterable[str], path: str | None) -> None:
         # surface a closed pipe here, inside main, not at interpreter exit
         sys.stdout.flush()
         return
+    import tempfile  # only this path needs it
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".recstats-")
     try:
+        # mkstemp creates the file 0o600, whatever the umask
+        os.chmod(tmp_path, _open_mode(path))
         with os.fdopen(fd, "w") as handle:
             for chunk in chunks:
                 handle.write(chunk)
@@ -85,7 +108,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_records(args: argparse.Namespace) -> int:
-    profile = records(Permutation.from_string(args.perm))
+    profile = perm.records(perm.Permutation.from_string(args.perm))
     document = json.dumps(
         {"positions": list(profile.positions), "rec": profile.rec, "srec": profile.srec}
     )
@@ -94,7 +117,7 @@ def _cmd_records(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    permutations = sample_uniform_many(args.n, args.seed, args.count)
+    permutations = perm.sample_uniform_many(args.n, args.seed, args.count)
     _write(("".join(f"{p}\n" for p in permutations),), args.output)
     return 0
 
@@ -199,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run invariant suites; exit 0 iff all pass")
     p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--suite", choices=verify.SUITES, default="all")
+    p.add_argument("--suite", choices=_SUITES, default="all")
     p.add_argument("--max-n", type=_positive_int, default=8, dest="max_n")
 
     return parser

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .tables import (
     REC,
@@ -94,10 +94,23 @@ def _check_stat(stat: str) -> None:
         raise ValueError(f"stat must be {REC!r} or {SREC!r}")
 
 
+def _one_minus(x: float) -> float:
+    return 1.0 - x
+
+
+def _sqrt_one_minus(x: float) -> float:
+    return math.sqrt(1.0 - x)
+
+
+def _target(stat: str) -> Callable[[float], float]:
+    """The limit shape of ``stat`` as a function of x; a scan checks ``stat`` once."""
+    _check_stat(stat)
+    return _one_minus if stat == REC else _sqrt_one_minus
+
+
 def target_value(stat: str, x: float) -> float:
     """Limit shape: 1 - x for rec, sqrt(1 - x) for srec."""
-    _check_stat(stat)
-    return 1.0 - x if stat == REC else math.sqrt(1.0 - x)
+    return _target(stat)(x)
 
 
 def _cuts(n: int, stat: str) -> tuple[int, int, int]:
@@ -196,7 +209,8 @@ def _segments(n: int, stat: str, row: Sequence[int]) -> list[tuple[float, float,
 
 
 def _exact_scan(
-    stat: str, n_ln_n: float, segments: Iterable[tuple[float, float, int]]
+    target: Callable[[float], float], n_ln_n: float,
+    segments: Iterable[tuple[float, float, int]],
 ) -> tuple[float, float]:
     """(largest endpoint deviation, its first x) over the given segments, in order."""
     best_dev = -1.0
@@ -204,7 +218,7 @@ def _exact_scan(
     for x_lo, x_hi, value in segments:
         y = big_ln(value) / n_ln_n
         for x in (x_lo, x_hi):
-            dev = abs(y - target_value(stat, x))
+            dev = abs(y - target(x))
             if dev > best_dev:
                 best_dev = dev
                 best_x = x
@@ -212,9 +226,10 @@ def _exact_scan(
 
 
 def _sup_from_row(n: int, stat: str, row: Sequence[int]) -> DeviationReport:
+    target = _target(stat)
     n_ln_n = n * math.log(n)
     first, top, middle, last = _segment_plan(n, stat, row)
-    floor = _exact_scan(stat, n_ln_n, (first, last))[0] - _BOUND_SLACK
+    floor = _exact_scan(target, n_ln_n, (first, last))[0] - _BOUND_SLACK
     size = math.isqrt(len(middle)) + 1
     segments = [first]
     for k_lo in range(middle.start, middle.stop, size):
@@ -225,13 +240,13 @@ def _sup_from_row(n: int, stat: str, row: Sequence[int]) -> DeviationReport:
         if low < 1:
             raise ValueError("value must be a positive integer")
         bound = max(
-            high.bit_length() * _LN2 / n_ln_n - target_value(stat, k_hi / top),
-            target_value(stat, k_lo / top) - (low.bit_length() - 1) * _LN2 / n_ln_n,
+            high.bit_length() * _LN2 / n_ln_n - target(k_hi / top),
+            target(k_lo / top) - (low.bit_length() - 1) * _LN2 / n_ln_n,
         )
         if bound >= floor:
             segments.extend((k / top, (k + 1) / top, row[k]) for k in range(k_lo, k_hi))
     segments.append(last)
-    best_dev, best_x = _exact_scan(stat, n_ln_n, segments)
+    best_dev, best_x = _exact_scan(target, n_ln_n, segments)
     return DeviationReport(n, stat, best_dev, best_dev * math.log(n), best_x)
 
 

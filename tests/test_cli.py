@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -130,6 +131,15 @@ class TestSubcommands:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "9305bbd9d61daf2ac4878c071cabc7b84ec6a7fbf2a5d7e6e3860c766472494a"
         )
+
+    def test_suite_choices_are_verify_suites(self):
+        # the parser states them itself, so that building it loads no verify
+        from recstats import cli, verify
+
+        assert cli._SUITES == verify.SUITES
+        parser = cli.build_parser()
+        for suite in verify.SUITES:
+            assert parser.parse_args(["verify", "--suite", suite]).suite == suite
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "curve", "--stat", "rec", "--n", "17")
@@ -296,6 +306,31 @@ class TestOutputFiles:
         assert code == 1
         assert err.startswith("error:")
         assert not missing.exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_gets_the_mode_open_gives(self, capsys, tmp_path, umask):
+        path, plain = tmp_path / "row.csv", tmp_path / "plain.csv"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run(capsys, "rec-table", "--n", "5", "--output", str(path))
+            plain.open("w").close()
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_replaced_file_keeps_its_mode(self, capsys, tmp_path):
+        path = tmp_path / "row.csv"
+        path.write_bytes(b"old bytes\n")
+        path.chmod(0o640)
+        old = os.umask(0o077)
+        try:
+            code, _, _ = run(capsys, "rec-table", "--n", "5", "--output", str(path))
+        finally:
+            os.umask(old)
+        assert code == 0 and path.read_text().startswith("n,k,count\n")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
     def test_srec_csv_covers_range(self, capsys, tmp_path):
         path = tmp_path / "srec.csv"
