@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import stat
 import sys
@@ -58,7 +57,11 @@ def _write(chunks: Iterable[str], path: str | None) -> None:
         return
     import tempfile  # only this path needs it
 
-    directory = os.path.dirname(os.path.abspath(path))
+    # through a symlink, as ``> path`` would: the target gets the bytes and
+    # keeps its mode, the link stays a link, and the temp file sits beside
+    # the target so that the rename stays on one file system
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".recstats-")
     try:
         # mkstemp creates the file 0o600, whatever the umask
@@ -109,10 +112,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_records(args: argparse.Namespace) -> int:
     profile = perm.records(perm.Permutation.from_string(args.perm))
-    document = json.dumps(
-        {"positions": list(profile.positions), "rec": profile.rec, "srec": profile.srec}
-    )
-    _write((document + "\n",), args.output)
+    # what json.dumps gives for the dict of the three fields, as tables.table_json
+    positions = ", ".join(map(str, profile.positions))
+    document = f'{{"positions": [{positions}], "rec": {profile.rec}, "srec": {profile.srec}}}\n'
+    _write((document,), args.output)
     return 0
 
 

@@ -61,8 +61,7 @@ C(n, k) between Gamma(n-i_0)/(n e^n) and 2^n Gamma(n-i_0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .tables import srec_max
 from .temme import log_gamma
@@ -72,9 +71,11 @@ from .temme import log_gamma
 EXTREMAL_LIMIT = 500
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
-    """m(n, k) together with one admissible tuple realizing it."""
+class ExtremalResult(NamedTuple):
+    """m(n, k) together with one admissible tuple realizing it.
+
+    A NamedTuple: it equals the plain tuple of its fields; copy it with ``_replace``.
+    """
 
     n: int
     k: int
@@ -82,9 +83,11 @@ class ExtremalResult:
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GammaBounds:
-    """Log-domain squeeze of m(n, k); the gap log_upper - log_lower is n."""
+class GammaBounds(NamedTuple):
+    """Log-domain squeeze of m(n, k); the gap log_upper - log_lower is n.
+
+    A NamedTuple: it equals the plain tuple of its fields; copy it with ``_replace``.
+    """
 
     i0: int
     log_lower: float

@@ -21,12 +21,12 @@ therefore also how :func:`sample_uniform` draws uniform permutations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from .tables import _Frozen
 
-@dataclass(frozen=True)
-class Permutation:
+
+class Permutation(_Frozen):
     """A permutation of {1, ..., n} in one-line notation.
 
     Construction validates in O(n) that ``entries`` is a bijection of
@@ -40,17 +40,18 @@ class Permutation:
     ValueError: entries are not a permutation of 1..3
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        n = len(entries)
         if n == 0:
             raise ValueError("a permutation needs at least one entry")
         seen = [False] * (n + 1)
-        for a in self.entries:
+        for a in entries:
             if not isinstance(a, int) or not 1 <= a <= n or seen[a]:
                 raise ValueError(f"entries are not a permutation of 1..{n}")
             seen[a] = True
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_string(cls, text: str) -> Permutation:
@@ -74,17 +75,18 @@ class Permutation:
         return self.entries[i]
 
 
-@dataclass(frozen=True)
-class RecordProfile:
+class RecordProfile(_Frozen):
     """Record positions of one permutation together with rec and srec."""
 
-    positions: tuple[int, ...]
-    rec: int = field(init=False)
-    srec: int = field(init=False)
+    __slots__ = ("positions", "rec", "srec")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rec", len(self.positions))
-        object.__setattr__(self, "srec", sum(self.positions))
+    def __init__(self, positions: tuple[int, ...]) -> None:
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "rec", len(positions))
+        object.__setattr__(self, "srec", sum(positions))
+
+    def __reduce__(self):
+        return type(self), (self.positions,)
 
 
 def record_positions(entries: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,35 +17,35 @@ the lower ends underflow floats long before n gets interesting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import extremal
-from .tables import big_ln
+from .tables import _Frozen, big_ln
 
 YES = "Y"
 NO = "N"
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(_Frozen):
     """Record/non-record marks on positions of an n-permutation.
 
     ``marks`` maps a position j to ``"Y"`` (j must be a record) or
     ``"N"`` (j must not be one); unmarked positions are unconstrained.
+    It holds a dict, so it has no hash.
     """
 
-    n: int
-    marks: dict[int, str]
+    __slots__ = ("n", "marks")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, marks: dict[int, str]) -> None:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        for j, mark in self.marks.items():
-            if not 1 <= j <= self.n:
-                raise ValueError(f"marked position {j} outside 1..{self.n}")
+        for j, mark in marks.items():
+            if not 1 <= j <= n:
+                raise ValueError(f"marked position {j} outside 1..{n}")
             if mark not in (YES, NO):
                 raise ValueError(f"mark for position {j} must be 'Y' or 'N', got {mark!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "marks", marks)
 
 
 def pattern_probability(spec: PatternSpec) -> Fraction:

@@ -48,8 +48,7 @@ kept, as in count rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .tables import (
     REC,
@@ -69,18 +68,22 @@ _LN2 = math.log(2.0)
 _BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class ScaledCurve:
-    """Samples (x, ln value / (n ln n)) of one scaled step curve."""
+class ScaledCurve(NamedTuple):
+    """Samples (x, ln value / (n ln n)) of one scaled step curve.
+
+    A NamedTuple: it equals the plain tuple of its fields; copy it with ``_replace``.
+    """
 
     n: int
     stat: str
     samples: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    """Exact sup deviation of the scaled curve from its target shape."""
+class DeviationReport(NamedTuple):
+    """Exact sup deviation of the scaled curve from its target shape.
+
+    A NamedTuple: it equals the plain tuple of its fields; copy it with ``_replace``.
+    """
 
     n: int
     stat: str

@@ -27,7 +27,6 @@ in Python integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 REC = "rec"
@@ -39,8 +38,46 @@ def srec_max(n: int) -> int:
     return n * (n + 1) // 2
 
 
-@dataclass(frozen=True)
-class CountTable:
+class _Frozen:
+    """Base of the package's validated value classes.
+
+    Subclasses list their fields in ``__slots__`` and set them once in
+    ``__init__`` through ``object.__setattr__``; after that assigning or
+    deleting an attribute raises ``AttributeError``.  Two instances are
+    equal when they are of the same class and their fields are equal;
+    the hash is that of the tuple of field values, the repr reads
+    ``Name(field=value, ...)``, and pickling calls the constructor again
+    with the field values.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class CountTable(_Frozen):
     """One dense coefficient row of either statistic.
 
     ``coeffs`` is a tuple of exact counts indexed by k from 0: length
@@ -48,18 +85,17 @@ class CountTable:
     the row total is always n!.
     """
 
-    n: int
-    kind: str
-    coeffs: tuple[int, ...]
+    __slots__ = ("n", "kind", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (REC, SREC):
+    def __init__(self, n: int, kind: str, coeffs: tuple[int, ...]) -> None:
+        if kind not in (REC, SREC):
             raise ValueError(f"kind must be {REC!r} or {SREC!r}")
-        top = self.n if self.kind == REC else srec_max(self.n)
-        if len(self.coeffs) != top + 1:
-            raise ValueError(
-                f"{self.kind} row for n={self.n} needs {top + 1} entries, got {len(self.coeffs)}"
-            )
+        top = n if kind == REC else srec_max(n)
+        if len(coeffs) != top + 1:
+            raise ValueError(f"{kind} row for n={n} needs {top + 1} entries, got {len(coeffs)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def total(self) -> int:
         return sum(self.coeffs)

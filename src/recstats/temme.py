@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 _SHIFT = 10.0
 _HALF_LN_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -229,13 +228,14 @@ def solve_u1(n: int, m: int) -> float:
     return best_u
 
 
-@dataclass(frozen=True)
-class TemmeEstimate:
+class TemmeEstimate(NamedTuple):
     """Saddle data and log estimate of c(n, m).
 
     ``u1``, ``t1``, ``B`` and ``g`` belong to the exponent of the
     coefficient extraction for c(n, m), i.e. they are evaluated at
     (N, M) = (n-1, m-1); ``log_estimate`` approximates ln c(n, m).
+
+    A NamedTuple: it equals the plain tuple of its fields; copy it with ``_replace``.
     """
 
     n: int

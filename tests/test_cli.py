@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recstats import tables
-from recstats.cli import main
+from recstats import perm, tables
+from recstats.cli import build_parser, main
 from recstats.extremal import EXTREMAL_LIMIT, _check_feasible, gamma_bounds
 from recstats.tables import big_ln, srec_max
 
@@ -145,6 +146,31 @@ class TestSubcommands:
         _, first, _ = run(capsys, "curve", "--stat", "rec", "--n", "17")
         _, second, _ = run(capsys, "curve", "--stat", "rec", "--n", "17")
         assert first == second
+
+
+def records_line(entries) -> str:
+    """The ``records`` output by way of ``json.dumps``, positions from running maxima."""
+    positions = [i for i in range(1, len(entries) + 1) if entries[i - 1] == max(entries[:i])]
+    return json.dumps({"positions": positions, "rec": len(positions),
+                       "srec": sum(positions)}) + "\n"
+
+
+class TestRecordsLine:
+    # the command writes its JSON line by hand; json.dumps is the oracle
+
+    def test_every_permutation_up_to_n6(self, capsys):
+        parser = build_parser()
+        for n in range(1, 7):
+            for entries in itertools.permutations(range(1, n + 1)):
+                args = parser.parse_args(["records", "--perm", ",".join(map(str, entries))])
+                assert args.handler(args) == 0
+                assert capsys.readouterr().out == records_line(entries)
+
+    def test_sampled_n2000(self, capsys):
+        entries = perm.sample_uniform(2000, 7).entries
+        code, out, err = run(capsys, "records", "--perm", ",".join(map(str, entries)))
+        assert (code, err) == (0, "")
+        assert out == records_line(entries)
 
 
 class TestErrors:
@@ -331,6 +357,31 @@ class TestOutputFiles:
             os.umask(old)
         assert code == 0 and path.read_text().startswith("n,k,count\n")
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("link,target,existing", [
+        ("link.csv", "target.csv", True),
+        ("links/link.csv", "../data/target.csv", True),
+        ("link.csv", "missing.csv", False),
+    ], ids=["relative", "other-directory", "dangling"])
+    def test_output_through_a_symlink_writes_its_target(self, capsys, tmp_path, link, target,
+                                                        existing):
+        # as ``> link.csv`` would: the target gets the bytes, the link stays
+        link_path = tmp_path / link
+        target_path = link_path.parent / target
+        link_path.parent.mkdir(exist_ok=True)
+        target_path.parent.mkdir(exist_ok=True)
+        if existing:
+            target_path.write_bytes(b"old\n")
+            target_path.chmod(0o640)
+        link_path.symlink_to(target)
+        code, _, _ = run(capsys, "rec-table", "--n", "3", "--output", str(link_path))
+        _, direct, _ = run(capsys, "rec-table", "--n", "3")
+        assert code == 0
+        assert link_path.is_symlink() and os.readlink(link_path) == target
+        assert target_path.read_text() == direct
+        if existing:
+            assert stat.S_IMODE(target_path.stat().st_mode) == 0o640
+        assert not list(tmp_path.rglob(".recstats-*"))
 
     def test_srec_csv_covers_range(self, capsys, tmp_path):
         path = tmp_path / "srec.csv"

@@ -61,6 +61,37 @@ class TestLazyLayers:
         assert out.splitlines() == ["recstats.probabilities True"]
 
 
+class TestStartUp:
+    # a one-shot call pays for every module it imports; these three cost
+    # about 16 ms together and no layer needs them
+
+    HEAVY = ("dataclasses", "inspect", "json")
+
+    def test_records_call_imports_none_of_them(self):
+        out = run_fresh(f"""
+            import sys
+            from recstats.cli import main
+            main(["records", "--perm", "2,1,3"])
+            print(sorted(set({self.HEAVY!r}) & set(sys.modules)))
+        """)
+        assert out.splitlines() == ['{"positions": [1, 3], "rec": 2, "srec": 4}', "[]"]
+
+    def test_no_layer_imports_them(self):
+        # one public attribute per layer, so that each layer's code runs
+        attributes = {"tables": "rec_table", "perm": "records", "temme": "temme_estimate",
+                      "extremal": "min_product", "probabilities": "pattern_probability",
+                      "scaling": "tau_series", "oracles": "i0_greedy", "verify": "run_suite"}
+        assert sorted(attributes) == sorted(LAYERS)
+        out = run_fresh(f"""
+            import sys
+            import recstats
+            print(all(callable(getattr(getattr(recstats, layer), name))
+                      for layer, name in {attributes!r}.items()))
+            print(sorted(set({self.HEAVY!r}) & set(sys.modules)))
+        """)
+        assert out.splitlines() == ["True", "[]"]
+
+
 class TestSurface:
     @pytest.mark.parametrize("name", recstats.__all__)
     def test_reexport_is_the_home_object(self, name):

@@ -7,8 +7,6 @@ a check that went vacuous would pass both gates; these tests keep it
 honest.
 """
 
-import dataclasses
-
 import pytest
 
 from recstats import extremal, perm, probabilities, scaling, tables, verify
@@ -37,14 +35,14 @@ def test_tables_vs_bruteforce(monkeypatch):
 
 def test_min_product_vs_bruteforce(monkeypatch):
     monkeypatch.setattr(extremal, "min_product", wrong_at(
-        extremal.min_product, (9, 20), lambda r: dataclasses.replace(r, m=r.m + 1)))
+        extremal.min_product, (9, 20), lambda r: r._replace(m=r.m + 1)))
     with pytest.raises(CheckFailure, match=r"at n=9, k=20$"):
         verify.check_min_product_vs_bruteforce(range(1, 13))
 
 
 def test_small_k_structure(monkeypatch):
     monkeypatch.setattr(extremal, "min_product", wrong_at(
-        extremal.min_product, (20, 7), lambda r: dataclasses.replace(r, m=r.m + 1)))
+        extremal.min_product, (20, 7), lambda r: r._replace(m=r.m + 1)))
     with pytest.raises(CheckFailure, match=r"^m\(n,k\) != k-1 at n=20, k=7$"):
         verify.check_small_k_structure(range(3, 41))
 
@@ -52,7 +50,7 @@ def test_small_k_structure(monkeypatch):
 def test_gamma_squeeze(monkeypatch):
     # the lower end Gamma(n+1)/Gamma(1) is exactly m(10, 55) = 10!
     monkeypatch.setattr(extremal, "min_product", wrong_at(
-        extremal.min_product, (10, 55), lambda r: dataclasses.replace(r, m=r.m - 1)))
+        extremal.min_product, (10, 55), lambda r: r._replace(m=r.m - 1)))
     with pytest.raises(CheckFailure, match=r"^gamma squeeze fails at n=10, k=55$"):
         verify.check_gamma_squeeze(range(4, 41), 1e-9)
 
@@ -60,7 +58,7 @@ def test_gamma_squeeze(monkeypatch):
 def test_srec_bracket(monkeypatch):
     # the upper end 2^n/m falls below the old lower end 1/(n m)
     monkeypatch.setattr(extremal, "min_product", wrong_at(
-        extremal.min_product, (12, 40), lambda r: dataclasses.replace(r, m=r.m * 4**r.n)))
+        extremal.min_product, (12, 40), lambda r: r._replace(m=r.m * 4**r.n)))
     with pytest.raises(CheckFailure, match=r"^srec bracket fails at n=12, k=40$"):
         verify.check_srec_bounds_bracket(tables.iter_srec_rows(20), 1e-9)
 
@@ -75,7 +73,7 @@ def test_closed_vs_greedy_i0(monkeypatch):
 def test_tau_window(monkeypatch):
     # past the window n = 2..50, so the planted tau cannot raise C_emp
     monkeypatch.setattr(scaling, "_sup_from_row", wrong_at(
-        scaling._sup_from_row, (55,), lambda r: dataclasses.replace(r, tau=2 * r.tau)))
+        scaling._sup_from_row, (55,), lambda r: r._replace(tau=2 * r.tau)))
     with pytest.raises(CheckFailure, match=r"tau\(55\)"):
         verify.check_tau_window(scaling.tau_series(REC, 2, 60), 50)
 
@@ -135,6 +133,6 @@ def test_srec_extremes():
 
 def test_segment_interiors(monkeypatch):
     monkeypatch.setattr(scaling, "_sup_from_row", wrong_at(
-        scaling._sup_from_row, (17, SREC), lambda r: dataclasses.replace(r, sup_dev=0.0)))
+        scaling._sup_from_row, (17, SREC), lambda r: r._replace(sup_dev=0.0)))
     with pytest.raises(CheckFailure, match=r"^srec segment exceeds reported sup at n=17$"):
         verify.check_segment_interiors(*verify._both_sweeps(30), 7)
