@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recstats import perm
 from recstats.perm import (
     Permutation,
     iter_uniform,
@@ -155,9 +157,33 @@ class TestSampling:
     @pytest.mark.parametrize("n,seed,count", [
         (1, 0, 50), (2, 5, 100), (4, 1, 5000), (10, 7, 2000), (37, 2**40, 200),
         (300, 3, 20), (2000, 9, 3),
+        # on both sides of the memo rule n! <= count: n!-1, n! and 3 n!
+        *((n, 11, f * c - d) for n, f in ((2, 2), (3, 6), (4, 24), (5, 120))
+          for c, d in ((1, 1), (1, 0), (3, 0))),
+        (7, 13, 5040),  # at the cap 7!
+        (8, 17, 40320),  # n! <= count past the cap: not kept
     ])
     def test_stream_is_the_randrange_stream(self, n, seed, count):
         assert list(iter_uniform(n, seed, count)) == list(randrange_stream(n, seed, count))
+
+    def test_repeated_codes_are_decoded_once(self):
+        # n! <= count: one object per distinct code
+        draws = list(iter_uniform(4, 3, 1000))
+        assert len({id(p) for p in draws}) == len(set(draws)) <= 24
+        # n! > count: every draw is a new object
+        for n, count in ((4, 23), (8, 20000)):
+            draws = list(iter_uniform(n, 3, count))
+            assert len({id(p) for p in draws}) == count
+
+    def test_memo_rule_stops_at_the_cap(self):
+        # 10**6! is never formed: the product stops once it passes 7!
+        start = time.perf_counter()
+        assert perm._memo_slots(10**6, 10**30) == 0
+        assert time.perf_counter() - start < 1.0
+        assert perm._memo_slots(7, 10**30) == 5040
+        assert perm._memo_slots(4, 24) == 24
+        assert perm._memo_slots(4, 23) == 0
+        assert perm._memo_slots(1, 0) == 0
 
     def test_draws_share_value_objects(self):
         a, b = sample_uniform_many(1000, 3, 2)

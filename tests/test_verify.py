@@ -107,6 +107,25 @@ def test_sampled_rec_distribution(monkeypatch):
         verify.check_sampled_rec_distribution(verify._SEED + 1)
 
 
+def test_sampled_rec_distribution_through_the_memo(monkeypatch):
+    # n = 4 with 100000 draws decodes each code once; if code (0, 1, 2, 3),
+    # one of the six with a single record, decodes to the identity, then
+    # P(rec = 1) drops by 1/24 to 5/24, about 30 standard errors
+    decode = perm._decode
+    calls = []
+
+    def planted(code, values):
+        calls.append(tuple(code))
+        if tuple(code) == (0, 1, 2, 3):
+            return perm.Permutation(values)
+        return decode(code, values)
+
+    monkeypatch.setattr(perm, "_decode", planted)
+    with pytest.raises(CheckFailure, match=r"^empirical P\(rec=1\) beyond 3 standard errors$"):
+        verify.check_sampled_rec_distribution(verify._SEED + 1)
+    assert len(calls) == len(set(calls)) == 24
+
+
 def test_verify_command_reports_the_planted_input(monkeypatch):
     monkeypatch.setattr(extremal, "i0_closed",
                         wrong_at(extremal.i0_closed, (10, 20), lambda i: i + 1))
