@@ -54,8 +54,20 @@ lexicographically smallest optimal witness.
 For k <= n the minimum is k - 1, realized by (1, k-1).  For larger k
 the threshold index i_0(n, k), the greatest i with
 k - 1 >= n + (n-1) + ... + (n-i), squeezes m(n, k) between
-Gamma(n+1)/Gamma(n-i_0) and that times e^n, which in turn brackets
-C(n, k) between Gamma(n-i_0)/(n e^n) and 2^n Gamma(n-i_0).
+L = Gamma(n+1)/Gamma(n-i_0) and that times e^n, which in turn brackets
+C(n, k) between Gamma(n-i_0)/(n e^n) and 2^n Gamma(n-i_0).  That is the
+paper's squeeze, and ``gamma_bounds`` and ``srec_count_bounds`` return
+it unchanged.
+
+The squeeze is in fact L <= m(n, k) < nL for k > n.  Take q0 = n - i_0
+and r = k - 1 - sum[q0..n], so 0 <= r < q0 - 1 by the definition of
+i_0.  If r >= 2, the set {r} + [q0..n] is admissible, so m <= rL < nL.
+If r = 0, [q0..n] gives m = L.  If r = 1, then q0 >= 4 (q0 = 3 is the
+infeasible k = n(n+1)/2 - 1), and [q0+1..n] + {2, q0 - 1} gives
+m <= 2L(q0 - 1)/q0 < 2L <= nL.  With it, ``srec_count_lower`` gives
+the sharp lower end C(n, k) > Gamma(n-i_0)/n^2, a factor e^n/n above
+the paper's, so the count bracket is Gamma(n-i_0)/n^2 < C(n, k) <=
+2^n Gamma(n-i_0).
 """
 
 from __future__ import annotations
@@ -64,11 +76,12 @@ import math
 from typing import NamedTuple, Sequence
 
 from .tables import srec_max
-from .temme import log_gamma
 
 # one call costs a few products of at most log2 n! bits, so that cost does
 # not set this cap; the cap stays until one cost model sets every cap
 EXTREMAL_LIMIT = 500
+
+_LN2 = math.log(2.0)
 
 
 class ExtremalResult(NamedTuple):
@@ -178,8 +191,18 @@ def gamma_bounds(n: int, k: int) -> GammaBounds:
     if k == srec_max(n) - 1:
         raise ValueError(f"k={k} is infeasible for n={n}")
     i0 = i0_closed(n, k)
-    log_lower = log_gamma(n + 1.0) - log_gamma(float(n - i0))
+    log_lower = math.lgamma(n + 1.0) - math.lgamma(float(n - i0))
     return GammaBounds(i0, log_lower, log_lower + n)
+
+
+def _check_count_domain(n: int, k: int) -> None:
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    top = srec_max(n)
+    if not 3 <= k <= top:
+        raise ValueError(f"k={k} outside [3, {top}] for n={n}")
+    if k == top - 1:
+        raise ValueError(f"k={k} has count zero for n={n}; log bounds are undefined")
 
 
 def srec_count_bounds(n: int, k: int) -> tuple[float, float]:
@@ -189,24 +212,57 @@ def srec_count_bounds(n: int, k: int) -> tuple[float, float]:
     n!/((k-1) n) <= C(n,k) <= 2^n n!/(k-1); for k >= n+1 it is
     Gamma(n-i0)/(n e^n) <= C(n,k) <= 2^n Gamma(n-i0).
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    top = srec_max(n)
-    if not 3 <= k <= top:
-        raise ValueError(f"k={k} outside [3, {top}] for n={n}")
-    if k == top - 1:
-        raise ValueError(f"k={k} has count zero for n={n}; log bounds are undefined")
-    ln2 = math.log(2.0)
+    _check_count_domain(n, k)
     if k <= n:
-        log_fact = log_gamma(n + 1.0)
-        log_lower = log_fact - math.log(k - 1) - math.log(n)
-        log_upper = n * ln2 + log_fact - math.log(k - 1)
+        log_lower = math.lgamma(n + 1.0) - math.log(k - 1) - math.log(n)
     else:
-        i0 = i0_closed(n, k)
-        log_g = log_gamma(float(n - i0))
-        log_lower = log_g - n - math.log(n)
-        log_upper = n * ln2 + log_g
-    return log_lower, log_upper
+        log_lower = math.lgamma(float(n - _i0(n, k))) - n - math.log(n)
+    return log_lower, _log_count_upper(n, k)
+
+
+def srec_count_lower(n: int, k: int) -> float:
+    """ln of the sharp lower end of the srec count C(n, k), 3 <= k <= n(n+1)/2.
+
+    C(n, k) >= (n-1)!/(k-1) for 3 <= k <= n, and C(n, k) > Gamma(n-i0)/n^2
+    for k >= n+1; for k > n this is e^n/n times the lower end of
+    ``srec_count_bounds``.  Proof: position j of a uniform permutation is
+    a record with probability 1/j, independently of the others, so the
+    permutations whose records sit exactly at {1} + S, S a subset of
+    {2, ..., n}, number (n-1)!/prod(v - 1 for v in S) >= n!/(n prod(S)).
+    An optimal set of m(n, k) has sum k - 1, so C(n, k) >= n!/(n m(n, k)).
+    For k <= n, m = k - 1; for k > n, m < nL with L = n!/Gamma(n-i0)
+    (module docstring), which gives the strict Gamma(n-i0)/n^2.
+
+    >>> srec_count_lower(10, 55) == -2 * math.log(10)  # C(10, 55) = 1 > 1/10^2
+    True
+    """
+    _check_count_domain(n, k)
+    return _log_count_lower(n, k)
+
+
+def _log_count_lower(n: int, k: int) -> float:
+    """:func:`srec_count_lower` without its domain checks."""
+    if k <= n:
+        return math.lgamma(float(n)) - math.log(k - 1)
+    return math.lgamma(float(n - _i0(n, k))) - 2.0 * math.log(n)
+
+
+def _log_count_upper(n: int, k: int) -> float:
+    """ln of the upper end of ``srec_count_bounds``, without its domain checks.
+
+    The end is 2^n n!/(k-1) for k <= n and 2^n Gamma(n-i0) for k > n; both
+    are non-increasing in k, as is :func:`_log_count_lower`, since i0 is
+    non-decreasing in k.  Proof of the end: C(n, k) sums, over the at most
+    2^(n-1) sets S of ``srec_count_lower``, the product of j - 1 over the
+    j in U = {2, ..., n} - S, so it is at most 2^(n-1) times the largest
+    term.  That term is at most (n-1)! <= n!/(k-1) for k <= n.  For k > n,
+    U sums to at most 2 + 3 + ... + (n-i0-1), and distinct integers >= 2
+    with that sum have product at most (n-i0-1)! = Gamma(n-i0), the
+    classic maximal product of distinct parts.
+    """
+    if k <= n:
+        return n * _LN2 + math.lgamma(n + 1.0) - math.log(k - 1)
+    return n * _LN2 + math.lgamma(float(n - _i0(n, k)))
 
 
 def format_witness(witness: Sequence[int]) -> str:

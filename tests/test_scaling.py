@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recstats import scaling
+from recstats.extremal import srec_count_bounds, srec_count_lower
 from recstats.scaling import (
     DeviationReport,
     _segments,
@@ -317,6 +318,68 @@ class TestPrunedScanMatchesFullScan:
         assert peak < 0.05 * row_bytes, f"scan peaked at {peak / row_bytes:.1%} of the row"
 
 
+def end_floor(n: int) -> float:
+    """The deviation of the srec end segments, (n-1)! on [0, 3/top] and 1 on [1 - 1/top, 1], less the slack."""
+    top = srec_max(n)
+    y = big_ln(math.factorial(n - 1)) / (n * math.log(n))
+    ends = (abs(y - target_value(SREC, 0.0)), abs(y - target_value(SREC, 3 / top)),
+            target_value(SREC, (top - 1) / top), target_value(SREC, 1.0))
+    return max(ends) - scaling._BOUND_SLACK
+
+
+def bracket_bound(n: int, k_lo: int, k_hi: int) -> float:
+    """Largest deviation the count bracket allows on segments k_lo..k_hi - 1."""
+    top, n_ln_n = srec_max(n), n * math.log(n)
+    return max(srec_count_bounds(n, k_lo)[1] / n_ln_n - target_value(SREC, k_hi / top),
+               target_value(SREC, k_lo / top) - srec_count_lower(n, k_hi - 1) / n_ln_n)
+
+
+class TestSrecCut:
+    """Srec rows built only up to the cut that the count bracket leaves open."""
+
+    CUT_NS = [*range(3, 61), 100, 108, 110, 150, 151, 200, 295, 300]
+
+    def test_both_sides_of_the_rule_run(self):
+        assert all(scaling._srec_cut(n) == srec_max(n) for n in range(3, 23))
+        assert scaling._srec_cut(300) < srec_max(300) // 2
+
+    def test_blocks_above_the_cut_are_excluded(self):
+        # the blocks of the search, from the top: those above the cut fall
+        # below the floor, and the one that ends at the cut does not
+        block = scaling._CUT_BLOCK
+        for n in self.CUT_NS:
+            top, cut = srec_max(n), scaling._srec_cut(n)
+            floor = end_floor(n)
+            starts = range(3, top - 1, block)
+            for k_lo in starts:
+                k_hi = min(k_lo + block, top - 1)
+                if k_lo > cut:
+                    assert bracket_bound(n, k_lo, k_hi) < floor, (n, k_lo)
+                elif k_hi - 1 == cut or (cut == top and k_hi == top - 1):
+                    assert bracket_bound(n, k_lo, k_hi) >= floor, (n, k_lo)
+
+    def test_each_k_above_the_cut_is_below_the_floor(self):
+        for n in self.CUT_NS:
+            top, floor = srec_max(n), end_floor(n)
+            for k in range(scaling._srec_cut(n) + 1, top - 1):
+                assert bracket_bound(n, k, k + 1) < floor, (n, k)
+
+    def test_skipped_segments_deviate_less_on_real_rows(self, srec_rows_150):
+        for n in range(3, 151):
+            row, top = srec_rows_150[n], srec_max(n)
+            floor = end_floor(n)
+            for k in range(scaling._srec_cut(n) + 1, top - 1):
+                y = big_ln(row[k]) / (n * math.log(n))
+                for x in (k / top, (k + 1) / top):
+                    assert abs(y - target_value(SREC, x)) < floor, (n, k)
+
+    def test_prefix_scans_match_full_rows(self, srec_rows_150):
+        full = [scan_row(n, SREC, srec_rows_150[n]) for n in range(2, 151)]
+        assert tau_series(SREC, 2, 150) == full
+        for n in (2, 3, 23, 24, 108, 150):
+            assert sup_deviation(n, SREC) == full[n - 2]
+
+
 class TestTauSeries:
     def test_report_fields_consistent(self):
         for report in tau_series(REC, 2, 20):
@@ -331,6 +394,10 @@ class TestTauSeries:
 
     def test_streaming_matches_per_n(self):
         assert tau_series(SREC, 2, 25) == [sup_deviation(n, SREC) for n in range(2, 26)]
+        # the series builds its rows up to the largest cut of its range,
+        # each sup_deviation up to its own
+        series = tau_series(SREC, 290, 300)
+        assert [series[0], series[-1]] == [sup_deviation(n, SREC) for n in (290, 300)]
 
     def test_guards(self):
         with pytest.raises(ValueError):
