@@ -67,7 +67,10 @@ infeasible k = n(n+1)/2 - 1), and [q0+1..n] + {2, q0 - 1} gives
 m <= 2L(q0 - 1)/q0 < 2L <= nL.  With it, ``srec_count_lower`` gives
 the sharp lower end C(n, k) > Gamma(n-i_0)/n^2, a factor e^n/n above
 the paper's, so the count bracket is Gamma(n-i_0)/n^2 < C(n, k) <=
-2^n Gamma(n-i_0).
+2^n Gamma(n-i_0).  That lower end keeps one term of C(n, k), the set
+of m(n, k); the ``scaling`` module docstring sums two disjoint families
+of sets instead, a bound about e^10 sharper in the middle of the row at
+n = 300, on which the srec sup scan cuts its rows.
 """
 
 from __future__ import annotations

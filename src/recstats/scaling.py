@@ -45,28 +45,49 @@ segments of the kept blocks: O(sqrt(len)) memory when few blocks are
 kept, as in count rows.
 
 For srec the same threshold, best - 1e-9, decides before the row is
-built how much of it to build.  The proved count bracket
-``extremal._log_count_lower`` <= ln C(n, k) <=
-``extremal._log_count_upper`` bounds the deviation of a block of
-segments from its two endpoints alone, since both ends are
-non-increasing in k.  ``_srec_cut`` walks blocks down from the top and
-stops at the first one whose bound reaches it, the end segments here
-taken from row[1] = (n-1)! and C(n, top) = 1, known without the row.
-``sup_deviation`` and ``tau_series`` build the rows only up to that cut
-(48% of the row at n = 300 and 40% at n = 400; the whole row for most n
-below 140) and scan the middle segments up to it.  The entries past the
-cut are never computed: each of their segments deviates by strictly
-less than the end segments, the slack covering the brackets' rounding
-as above, so the report is the one the full row gives.  ``rec``, the
-curves and the tables keep full rows.
+built how much of it to build.  Position j of a uniform permutation is
+a record with probability 1/j, independently of the others, so the
+permutations whose records sit exactly at {1} + S number
+prod(j - 1 for j in U), U = {2, ..., n} - S, and
+
+    C(n, k) = sum of prod(j - 1 for j in U) over S in {2, ..., n}, sum(S) = k - 1.
+
+For 3 <= q <= n + 1 let F_q hold the S with [q..n] in S and q - 1 not
+in S: q - 1 is the largest value S leaves out, so the F_q are disjoint.
+Such an S is [q..n] plus a subset S' of {2, ..., q - 2}, and its term
+is q - 2 times the term of S' in the row of q - 2, so F_q adds up to
+(q - 2) C(q - 2, k - sum[q..n]), with C(m, j) = 0 off the row.  Every
+k > n lies in the run of one q0 = n - i0(n, k) (``extremal``), k =
+sum[q0..n] + 1 + r with 0 <= r <= q0 - 2, and F_q0 and F_q0+1 give
+
+    C(n, k) >= (q0 - 2) C(q0 - 2, r + 1) + (q0 - 1) C(q0 - 1, r + 1 + q0).
+
+The bound depends on (q0, r) alone, so its exact least value over each
+run serves every n, and ``_run_minima`` finds those of all q0 <= n in
+one sweep of rows kept to k <= 2n - 1.
+The upper end on the run stays ``extremal._log_count_upper``,
+2^n Gamma(q0).  Both ends are constant on a run and T decreases, so no
+segment of the run deviates by more than max(hi/(n ln n) - T(x_end),
+T(x_start) - lo/(n ln n)), read at the run's two ends.  ``_srec_cuts``
+walks the runs down from the top and ends the cut at the first run
+whose bound reaches the threshold, the end segments here taken from
+row[1] = (n-1)! and C(n, top) = 1, known without the row.  Every run is
+below it for each n from 2 to 600 but 5, so ``sup_deviation`` and
+``tau_series`` build the rows only up to k = n (up to 9 of 15 at n = 5)
+and scan the middle segments up to it.  The entries past the cut are
+never computed: each of their segments deviates by strictly less than
+the end segments, the slack covering the bounds' rounding as above, so
+the report is the one the full row gives.  ``rec``, the curves and the
+tables keep full rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .extremal import _log_count_lower, _log_count_upper
 from .tables import (
     REC,
     SREC,
@@ -78,14 +99,13 @@ from .tables import (
     srec_table,
 )
 
-SREC_SERIES_LIMIT = 300  # rows hold ~n^2/2 big integers each
+# rows stop at k = 2 n_max - 1 (module docstring); the cap stays until one
+# cost model sets every cap
+SREC_SERIES_LIMIT = 300
 
 _LN2 = math.log(2.0)
 # absolute; the module docstring says why it covers the bound's rounding
 _BOUND_SLACK = 1e-9
-# middle segments per block of the srec cut search (``_srec_cut``); the
-# search bounds a block in about 1.5 us, and finer blocks built no faster
-_CUT_BLOCK = 256
 
 
 class ScaledCurve(NamedTuple):
@@ -286,39 +306,74 @@ def _sup_from_row(
     return DeviationReport(n, stat, best_dev, best_dev * math.log(n), best_x)
 
 
-def _srec_cut(n: int) -> int:
-    """The last k of the srec row of n that the sup scan must read; top if it must read all.
+def _run_minima(q_max: int) -> Iterator[int]:
+    """The least family bound of the run of each q0 = 3, ..., q_max, in order.
 
-    Walks blocks of ``_CUT_BLOCK`` middle segments down from k = top - 1
-    and bounds each block [s, e) from the count bracket alone, no count
-    computed: C(n, k) lies between ``_log_count_lower`` and
-    ``_log_count_upper``, both non-increasing in k, so no segment of the
-    block deviates by more than max(hi(s)/(n ln n) - T(e/top),
-    T(s/top) - lo(e-1)/(n ln n)).  Blocks below the floor, the exact end
-    segments (row[1] = (n-1)! and C(n, top) = 1) less ``_BOUND_SLACK``,
-    cannot hold the sup (module docstring); the first block that reaches
-    it ends the cut.
+    The family bound of (q0, r) is (q0-2) C(q0-2, r+1) + (q0-1) C(q0-1, r+1+q0)
+    (module docstring), taken over the run's r in [0, q0-2].  At q0 = 3
+    only r = 0 counts: r = 1 is k = top - 1, the zero coefficient, which
+    no middle segment reads.  One sweep of srec rows 1..q_max-1 (q_max >= 2),
+    each kept to k <= 2 q_max - 1, reads row q0-1 and the prefix k <= q0
+    of row q0-2, which is all it keeps of a previous row.  A caller should
+    not keep the minima: each one kept pins the allocator's memory of its
+    row (3 MB of peak RSS at q_max = 400), so ``_srec_cuts`` keeps their
+    logs.
     """
-    top, a, b = _cuts(n, SREC)
-    target, n_ln_n = _sqrt_one_minus, n * math.log(n)
-    first, _, _, last = _segment_plan(n, SREC, (0, math.factorial(n - 1)), 1)
-    floor = _floor(target, n_ln_n, first, last)
-    for s in reversed(range(a, b, _CUT_BLOCK)):
-        e = min(s + _CUT_BLOCK, b)
-        bound = max(
-            _log_count_upper(n, s) / n_ln_n - target(e / top),
-            target(s / top) - _log_count_lower(n, e - 1) / n_ln_n,
-        )
-        if bound >= floor:
-            return top if e == b else e - 1
-    return a - 1
+    prev = [0, 1]
+    for m, row in iter_srec_rows(q_max - 1, k_max=2 * q_max - 1):
+        q0 = m + 1
+        if q0 >= 3:
+            width = q0 - 1 if q0 > 3 else 1
+            tail = row[q0 + 1:q0 + 1 + width]
+            tail.extend([0] * (width - len(tail)))  # C(m, k) = 0 past k = top(m)
+            yield min(map(add, map(mul, repeat(q0 - 2), prev[1:width + 1]),
+                          map(mul, repeat(q0 - 1), tail)))
+        prev = row[:m + 2]
+
+
+def _srec_cuts(n_min: int, n_max: int) -> dict[int, int]:
+    """The last k of the srec row of each n that the sup scan must read; top if it must read all.
+
+    Every middle k > n lies in the run of one q0 = n - i0 in [3, n]
+    (module docstring): k = s + 1 + r with s = sum[q0..n] and
+    0 <= r <= q0 - 2.  On the run, ln C(n, k) lies between lo, the log of
+    the run's minimum from ``_run_minima``, and hi = n ln 2 + ln Gamma(q0),
+    the upper end ``extremal._log_count_upper``.  So no segment of the run
+    deviates by more than max(hi/(n ln n) - T(x_end), T(x_start) -
+    lo/(n ln n)), with x_start = (s+1)/top and x_end the right end of the
+    run's last middle segment.  Runs bounded below the floor, the exact
+    end segments (row[1] = (n-1)! and C(n, top) = 1) less
+    ``_BOUND_SLACK``, cannot hold the sup; walking down from the top, the
+    first run that reaches it ends the cut, and the cut is n when none
+    does.
+    """
+    lows = [0.0, 0.0, 0.0, *map(big_ln, _run_minima(n_max))]  # indexed by q0
+    log_gamma = [0.0, *map(math.lgamma, range(1, n_max + 1))]
+    cuts = {}
+    for n in range(n_min, n_max + 1):
+        top, _, b = _cuts(n, SREC)
+        n_ln_n = n * math.log(n)
+        first, _, _, last = _segment_plan(n, SREC, (0, math.factorial(n - 1)), 1)
+        floor = _floor(_sqrt_one_minus, n_ln_n, first, last)
+        n_ln_2 = n * _LN2
+        cut = n
+        s = top - 3  # sum[q0..n] at q0 = 3
+        for q0 in range(3, n + 1):
+            hi = (n_ln_2 + log_gamma[q0]) / n_ln_n - math.sqrt(1.0 - min(s + q0, b) / top)
+            lo = math.sqrt(1.0 - (s + 1) / top) - lows[q0] / n_ln_n
+            if hi >= floor or lo >= floor:
+                cut = top if q0 == 3 else s + q0 - 1
+                break
+            s -= q0
+        cuts[n] = cut
+    return cuts
 
 
 def _reports(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """``tau_series`` without its argument checks."""
     if stat == REC:
         return [_sup_from_row(n, REC, row) for n, row in iter_rec_rows(n_max) if n >= n_min]
-    cuts = {n: _srec_cut(n) for n in range(n_min, n_max + 1)}
+    cuts = _srec_cuts(n_min, n_max)
     rows = iter_srec_rows(n_max, k_max=max(cuts.values()))
     return [_sup_from_row(n, SREC, row, cuts[n]) for n, row in rows if n >= n_min]
 
@@ -334,10 +389,11 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
     below 1 raises ValueError, checked per block before any block is
     skipped.  The count row of (n, stat) is built here; on it the scan
     allocates O(sqrt(len)) memory.  For srec the row is built only up to
-    the cut of the count bracket: the entries past it sit on segments
-    that deviate by strictly less than the end segments do, so they
-    cannot hold the sup and the report is the full row's (module
-    docstring).  ``tau_series`` scans a range of n.
+    the cut of the run bounds, k = n for every n from 6 to 600: the
+    entries past it sit on segments that deviate by strictly less than
+    the end segments do, so they cannot hold the sup and the report is
+    the full row's (module docstring).  ``tau_series`` scans a range of
+    n.
 
     >>> r = sup_deviation(2, "rec")
     >>> (r.sup_dev, r.argmax_x)
@@ -354,9 +410,11 @@ def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
 
     Rows are built once, incrementally, in one list updated in place,
     and each row is scanned before the next one overwrites it, so one
-    row is alive at a time.  For srec every row stops at the largest
-    cut of the range, as ``sup_deviation`` says, and each n reads its
-    row only up to its own cut.
+    row is alive at a time.  For srec a first sweep, of rows kept to
+    k <= 2 n_max - 1, finds the run bounds and each n's cut; the rows
+    of the second stop at the largest cut of the range, as
+    ``sup_deviation`` says, and each n reads its row only up to its own
+    cut.
     """
     _check_stat(stat)
     if not 2 <= n_min <= n_max:

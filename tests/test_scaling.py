@@ -3,13 +3,14 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from recstats import scaling
-from recstats.extremal import srec_count_bounds, srec_count_lower
+from recstats.extremal import _i0, _log_count_upper
 from recstats.scaling import (
     DeviationReport,
     _segments,
@@ -327,48 +328,121 @@ def end_floor(n: int) -> float:
     return max(ends) - scaling._BOUND_SLACK
 
 
-def bracket_bound(n: int, k_lo: int, k_hi: int) -> float:
-    """Largest deviation the count bracket allows on segments k_lo..k_hi - 1."""
-    top, n_ln_n = srec_max(n), n * math.log(n)
-    return max(srec_count_bounds(n, k_lo)[1] / n_ln_n - target_value(SREC, k_hi / top),
-               target_value(SREC, k_lo / top) - srec_count_lower(n, k_hi - 1) / n_ln_n)
+def count(rows, m: int, j: int) -> int:
+    """C(m, j) from a dict of dense srec rows; 0 off the row, and for m < 1."""
+    row = rows.get(m, ())
+    return row[j] if 1 <= j < len(row) else 0
+
+
+def run_of(n: int, k: int) -> tuple[int, int]:
+    """(q0, r) of k > n: q0 = n - i0 and k = sum[q0..n] + 1 + r."""
+    q0 = n - _i0(n, k)
+    return q0, k - 1 - (n + q0) * (n + 1 - q0) // 2
+
+
+def family_bound(rows, q0: int, r: int) -> int:
+    """The exact total weight of the families F_q0 and F_q0+1 of the scaling docstring."""
+    return (q0 - 2) * count(rows, q0 - 2, r + 1) + (q0 - 1) * count(rows, q0 - 1, r + 1 + q0)
+
+
+def run_span(n: int, q0: int) -> tuple[int, int]:
+    """(first k, right end of the last middle segment, in units of 1/top) of the run of q0."""
+    start = (n + q0) * (n + 1 - q0) // 2 + 1
+    return start, min(start + q0 - 1, srec_max(n) - 1)
+
+
+def upper_run_bound(n: int, q0: int) -> float:
+    """Largest deviation above the target that extremal's upper end allows on the run of q0."""
+    start, end = run_span(n, q0)
+    return _log_count_upper(n, start) / (n * math.log(n)) - target_value(SREC, end / srec_max(n))
+
+
+def run_bound(n: int, q0: int, low: int) -> float:
+    """Largest deviation the run bounds allow on the middle segments of the run of q0."""
+    start, _ = run_span(n, q0)
+    lower = target_value(SREC, start / srec_max(n)) - big_ln(low) / (n * math.log(n))
+    return max(upper_run_bound(n, q0), lower)
+
+
+def expected_cut(n: int, bounds) -> int:
+    """The cut for the run bounds of q0 = 3, 4, ..., n: the first run from the top that reaches the floor."""
+    floor = end_floor(n)
+    for q0, bound in enumerate(bounds, start=3):
+        if bound >= floor:
+            return srec_max(n) if q0 == 3 else run_span(n, q0)[0] + q0 - 2
+    return n
 
 
 class TestSrecCut:
-    """Srec rows built only up to the cut that the count bracket leaves open."""
+    """Srec rows built only up to the cut that the run bounds leave open."""
 
-    CUT_NS = [*range(3, 61), 100, 108, 110, 150, 151, 200, 295, 300]
+    CUT_NS = [*range(3, 61), 100, 150, 151, 200, 295, 300]
+
+    def test_family_bound_is_sound_for_every_k_small(self, srec_rows_150):
+        for n in range(3, 61):
+            row = srec_rows_150[n]
+            for k in range(n + 1, srec_max(n) + 1):
+                assert family_bound(srec_rows_150, *run_of(n, k)) <= row[k], (n, k)
+
+    def test_family_bound_is_sound_on_sampled_rows(self, srec_rows_150):
+        for n in (75, 101, 128, 149, 150):
+            row = srec_rows_150[n]
+            for k in range(n + 1, srec_max(n) + 1):
+                assert family_bound(srec_rows_150, *run_of(n, k)) <= row[k], (n, k)
+
+    def test_run_minima_match_per_k_minima(self, srec_rows_150):
+        # the per-k bounds of the middle segments of n = 151, whose runs
+        # have every q0 in [3, 151]; C(151, k) itself is never read
+        n = 151
+        per_run = {}
+        for k in range(n + 1, srec_max(n) - 1):
+            q0, r = run_of(n, k)
+            bound = family_bound(srec_rows_150, q0, r)
+            per_run[q0] = min(per_run.get(q0, bound), bound)
+        assert list(scaling._run_minima(151)) == [per_run[q0] for q0 in range(3, 152)]
+
+    def test_run_minima_dominate_the_single_set_bound(self):
+        # lows[q0] >= Gamma(q0)/n^2 for every n >= q0, the weakest at n = q0,
+        # so the one-set end of ``srec_count_lower`` would never cut further
+        for q0, low in enumerate(scaling._run_minima(300), start=3):
+            assert big_ln(low) > math.lgamma(q0) - 2 * math.log(q0), q0
 
     def test_both_sides_of_the_rule_run(self):
-        assert all(scaling._srec_cut(n) == srec_max(n) for n in range(3, 23))
-        assert scaling._srec_cut(300) < srec_max(300) // 2
+        cuts = scaling._srec_cuts(2, 300)
+        assert cuts[5] == 9  # the run of q0 = 5 (k = 6..9) reaches the floor
+        assert all(cuts[n] == n for n in range(2, 301) if n != 5)
+        assert scaling._srec_cuts(300, 300) == {300: 300}
 
-    def test_blocks_above_the_cut_are_excluded(self):
-        # the blocks of the search, from the top: those above the cut fall
-        # below the floor, and the one that ends at the cut does not
-        block = scaling._CUT_BLOCK
+    @pytest.mark.parametrize("slack", [scaling._BOUND_SLACK, 0.02, 0.05, 0.1])
+    def test_cut_ends_at_the_first_run_that_reaches_the_floor(self, monkeypatch, slack):
+        # each run bound recomputed from extremal's upper end and the exact
+        # minima; a wider slack lowers the floor and raises the cut
+        monkeypatch.setattr(scaling, "_BOUND_SLACK", slack)
+        lows = [0, 0, 0, *scaling._run_minima(300)]
+        cuts = scaling._srec_cuts(3, 300)
         for n in self.CUT_NS:
-            top, cut = srec_max(n), scaling._srec_cut(n)
-            floor = end_floor(n)
-            starts = range(3, top - 1, block)
-            for k_lo in starts:
-                k_hi = min(k_lo + block, top - 1)
-                if k_lo > cut:
-                    assert bracket_bound(n, k_lo, k_hi) < floor, (n, k_lo)
-                elif k_hi - 1 == cut or (cut == top and k_hi == top - 1):
-                    assert bracket_bound(n, k_lo, k_hi) >= floor, (n, k_lo)
+            bounds = [run_bound(n, q0, lows[q0]) for q0 in range(3, n + 1)]
+            assert cuts[n] == expected_cut(n, bounds), (n, slack)
 
-    def test_each_k_above_the_cut_is_below_the_floor(self):
-        for n in self.CUT_NS:
-            top, floor = srec_max(n), end_floor(n)
-            for k in range(scaling._srec_cut(n) + 1, top - 1):
-                assert bracket_bound(n, k, k + 1) < floor, (n, k)
+    def test_upper_end_alone_sets_the_cut(self, monkeypatch):
+        # the upper end decides no run for n <= 600 (it stays 0.05 below the
+        # floor).  Here minima of n^(4n) switch the lower end off, and a floor
+        # just below each sampled run's upper bound lets that run, or one above
+        # it, end the cut
+        monkeypatch.setattr(scaling, "_run_minima", lambda q_max: repeat(q_max ** (4 * q_max), q_max - 2))
+        for n in (10, 50, 150, 300):
+            ends = end_floor(n) + scaling._BOUND_SLACK
+            uppers = [upper_run_bound(n, q0) for q0 in range(3, n + 1)]
+            for level in uppers[::max(1, n // 20)]:
+                monkeypatch.setattr(scaling, "_BOUND_SLACK", ends - (level - 1e-12))
+                assert scaling._srec_cuts(n, n)[n] == expected_cut(n, uppers), (n, level)
 
     def test_skipped_segments_deviate_less_on_real_rows(self, srec_rows_150):
+        cuts = scaling._srec_cuts(3, 150)
         for n in range(3, 151):
             row, top = srec_rows_150[n], srec_max(n)
             floor = end_floor(n)
-            for k in range(scaling._srec_cut(n) + 1, top - 1):
+            for k in range(cuts[n] + 1, top - 1):
                 y = big_ln(row[k]) / (n * math.log(n))
                 for x in (k / top, (k + 1) / top):
                     assert abs(y - target_value(SREC, x)) < floor, (n, k)
@@ -376,7 +450,7 @@ class TestSrecCut:
     def test_prefix_scans_match_full_rows(self, srec_rows_150):
         full = [scan_row(n, SREC, srec_rows_150[n]) for n in range(2, 151)]
         assert tau_series(SREC, 2, 150) == full
-        for n in (2, 3, 23, 24, 108, 150):
+        for n in (2, 3, 5, 6, 23, 24, 108, 150):
             assert sup_deviation(n, SREC) == full[n - 2]
 
 
@@ -396,8 +470,7 @@ class TestTauSeries:
         assert tau_series(SREC, 2, 25) == [sup_deviation(n, SREC) for n in range(2, 26)]
         # the series builds its rows up to the largest cut of its range,
         # each sup_deviation up to its own
-        series = tau_series(SREC, 290, 300)
-        assert [series[0], series[-1]] == [sup_deviation(n, SREC) for n in (290, 300)]
+        assert tau_series(SREC, 290, 300) == [sup_deviation(n, SREC) for n in range(290, 301)]
 
     def test_guards(self):
         with pytest.raises(ValueError):
