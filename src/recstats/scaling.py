@@ -77,8 +77,40 @@ below it for each n from 2 to 600 but 5, so ``sup_deviation`` and
 and scan the middle segments up to it.  The entries past the cut are
 never computed: each of their segments deviates by strictly less than
 the end segments, the slack covering the bounds' rounding as above, so
-the report is the one the full row gives.  ``rec``, the curves and the
-tables keep full rows.
+the report is the one the full row gives.
+
+For rec the same threshold needs no row beyond k = 1.  Expanding
+q(q+1)...(q+n-1) gives c(n, k) = e_{n-k}(1, 2, ..., n-1), the
+elementary symmetric sum of degree n - k.  Its term k(k+1)...(n-1), of
+the n - k largest factors, gives c(n, k) >= (n-1)!/(k-1)!.  Each term of
+e_j(x) appears j! times in the expansion of (x_1 + x_2 + ...)^j, whose
+other terms are nonnegative, so e_j(x) <= (sum x)^j / j! and
+c(n, k) <= C(n, 2)^(n-k)/(n-k)!, where C(n, 2) = 1 + 2 + ... + (n-1).
+Segment k covers [k/n, (k+1)/n) and T decreases, so it deviates by at
+most the larger of
+
+    below: T(k/n) - ln((n-1)!/(k-1)!)/(n ln n),
+    above: ((n-k) ln C(n, 2) - ln (n-k)!)/(n ln n) - T((k+1)/n).
+
+From k to k + 1 the first changes by (ln k - ln n)/(n ln n) < 0, so
+over the middle k >= 2 it is largest at k = 2, where it is the first
+segment's deviation at x = 0 less 2/n.  The second changes by
+ln(2(n-k)/(n-1))/(n ln n), which is positive for k < (n+1)/2 and not
+for k >= (n+1)/2, so over all k in [1, n] it is largest at
+h = floor((n+1)/2) or h + 1 (both when n is odd).  ``_rec_bounds``
+evaluates those three values, O(1) float operations per n.  The floor
+is the first segment's deviation at x = 0, 1 - ln((n-1)!)/(n ln n),
+less the slack: (n-1)! < n^(n-1) keeps that segment below T(1/n), and
+c(n, n) = 1 deviates by 0 at x = 1.  ``_rec_cut`` reads ln((n-1)!) as
+lgamma(n), so no factorial is built; the few ulps by which it may
+differ from the scan's log of (n-1)! sit inside the slack as the
+rounding above does.  When the three values lie below the floor, no
+middle k >= 2 can hold the sup, the row is built only to k = 1, and the
+sup is the first segment's deviation at x = 0.  The margin is 2/n
+below and about 1/(2 ln n) above; the check holds for every n from 2 to
+10^6 and at the n sampled up to 10^9.  From n = 2 * 10^9 on, 2/n no
+longer clears the slack and the cut is the whole row.  The curves and
+the tables keep full rows.
 """
 
 from __future__ import annotations
@@ -234,8 +266,9 @@ def _segment_plan(
 
     Middle segment k is (k/top, (k+1)/top, row[k]); the first and last
     segments are the end branches row[1] and row[top].  A ``k_max`` below
-    top (a cut of ``_srec_cut``) ends the middle range at k_max; ``row``
-    then need only reach k_max, and the last segment takes C(n, top) = 1.
+    top (a cut of ``_rec_cut`` or ``_srec_cuts``) ends the middle range
+    at k_max; ``row`` then need only reach k_max, and the last segment
+    takes row[top] = 1 (c(n, n) = C(n, top) = 1).
     """
     top, a, b = _cuts(n, stat)
     if k_max is None or k_max >= top:
@@ -369,13 +402,45 @@ def _srec_cuts(n_min: int, n_max: int) -> dict[int, int]:
     return cuts
 
 
+def _rec_bounds(n: int) -> tuple[float, float]:
+    """(lower, upper): the largest deviation below and above the target on any rec middle segment k >= 2.
+
+    Read from the closed-form bounds (n-1)!/(k-1)! <= c(n, k) <=
+    C(n, 2)^(n-k)/(n-k)! at the k where each side peaks (module
+    docstring): k = 2 below, k = h or h + 1 above, h = floor((n+1)/2).
+    """
+    n_ln_n = n * math.log(n)
+    # ln((n-1)!/(k-1)!) at k = 2
+    lower = _one_minus(2 / n) - (math.lgamma(n) - math.lgamma(2)) / n_ln_n
+    ln_pairs = math.log(n * (n - 1) // 2)
+    h = (n + 1) // 2
+    upper = max(
+        ((n - k) * ln_pairs - math.lgamma(n - k + 1)) / n_ln_n - _one_minus((k + 1) / n)
+        for k in (h, h + 1)
+    )
+    return lower, upper
+
+
+def _rec_cut(n: int) -> int:
+    """The last k of the rec row of n that the sup scan must read: 1 when ``_rec_bounds`` certify, else n.
+
+    The floor is the first segment's deviation at x = 0, the larger of
+    the end segments', with ln((n-1)!) read as lgamma(n), less
+    ``_BOUND_SLACK`` (module docstring).
+    """
+    floor = 1.0 - math.lgamma(n) / (n * math.log(n)) - _BOUND_SLACK
+    return 1 if max(_rec_bounds(n)) < floor else n
+
+
 def _reports(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """``tau_series`` without its argument checks."""
     if stat == REC:
-        return [_sup_from_row(n, REC, row) for n, row in iter_rec_rows(n_max) if n >= n_min]
-    cuts = _srec_cuts(n_min, n_max)
-    rows = iter_srec_rows(n_max, k_max=max(cuts.values()))
-    return [_sup_from_row(n, SREC, row, cuts[n]) for n, row in rows if n >= n_min]
+        cuts = {n: _rec_cut(n) for n in range(n_min, n_max + 1)}
+        rows = iter_rec_rows(n_max, k_max=max(cuts.values()))
+    else:
+        cuts = _srec_cuts(n_min, n_max)
+        rows = iter_srec_rows(n_max, k_max=max(cuts.values()))
+    return [_sup_from_row(n, stat, row, cuts[n]) for n, row in rows if n >= n_min]
 
 
 def sup_deviation(n: int, stat: str) -> DeviationReport:
@@ -388,12 +453,13 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
     and largest values, are skipped (see the module docstring).  A value
     below 1 raises ValueError, checked per block before any block is
     skipped.  The count row of (n, stat) is built here; on it the scan
-    allocates O(sqrt(len)) memory.  For srec the row is built only up to
-    the cut of the run bounds, k = n for every n from 6 to 600: the
-    entries past it sit on segments that deviate by strictly less than
-    the end segments do, so they cannot hold the sup and the report is
-    the full row's (module docstring).  ``tau_series`` scans a range of
-    n.
+    allocates O(sqrt(len)) memory.  The row is built only up to the cut
+    of the bounds on its counts: for srec the run bounds, k = n for
+    every n from 6 to 600; for rec the closed-form bounds, k = 1 for
+    every n from 2 to 10^6 checked.  The entries past the cut sit on
+    segments that deviate by strictly less than the end segments do, so
+    they cannot hold the sup and the report is the full row's (module
+    docstring).  ``tau_series`` scans a range of n.
 
     >>> r = sup_deviation(2, "rec")
     >>> (r.sup_dev, r.argmax_x)
@@ -410,11 +476,11 @@ def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
 
     Rows are built once, incrementally, in one list updated in place,
     and each row is scanned before the next one overwrites it, so one
-    row is alive at a time.  For srec a first sweep, of rows kept to
-    k <= 2 n_max - 1, finds the run bounds and each n's cut; the rows
-    of the second stop at the largest cut of the range, as
-    ``sup_deviation`` says, and each n reads its row only up to its own
-    cut.
+    row is alive at a time.  Each n's cut comes first: for rec from
+    ``_rec_cut`` in closed form, for srec from a first sweep, of rows
+    kept to k <= 2 n_max - 1, that finds the run bounds.  The rows stop
+    at the largest cut of the range, as ``sup_deviation`` says, and each
+    n reads its row only up to its own cut.
     """
     _check_stat(stat)
     if not 2 <= n_min <= n_max:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import repeat
@@ -24,7 +25,7 @@ from recstats.scaling import (
     tau_csv,
     tau_series,
 )
-from recstats.tables import REC, SREC, big_ln, rec_table, srec_max, srec_table
+from recstats.tables import REC, SREC, big_ln, iter_rec_rows, rec_table, srec_max, srec_table
 
 
 def full_scan_sup(n: int, stat: str, row) -> DeviationReport:
@@ -452,6 +453,90 @@ class TestSrecCut:
         assert tau_series(SREC, 2, 150) == full
         for n in (2, 3, 5, 6, 23, 24, 108, 150):
             assert sup_deviation(n, SREC) == full[n - 2]
+
+
+def rec_end_floor(n: int) -> float:
+    """The deviation of the rec end segments, (n-1)! on [0, 1/n] and 1 at x = 1, less the slack."""
+    y = big_ln(math.factorial(n - 1)) / (n * math.log(n))
+    ends = (abs(y - target_value(REC, 0.0)), abs(y - target_value(REC, 1 / n)),
+            target_value(REC, 1.0))
+    return max(ends) - scaling._BOUND_SLACK
+
+
+def rec_side_bounds(n: int, k: int) -> tuple[float, float]:
+    """(below, above): the deviation bounds of rec segment k from (n-1)!/(k-1)! <= c(n, k) <= C(n, 2)^(n-k)/(n-k)!."""
+    n_ln_n = n * math.log(n)
+    low = big_ln(math.factorial(n - 1) // math.factorial(k - 1))
+    high = big_ln(math.comb(n, 2) ** (n - k)) - big_ln(math.factorial(n - k))
+    return (target_value(REC, k / n) - low / n_ln_n,
+            high / n_ln_n - target_value(REC, (k + 1) / n))
+
+
+class TestRecCut:
+    """Rec rows built only to k = 1, certified by closed-form bounds on c(n, k)."""
+
+    def test_bounds_hold_in_exact_integers(self, rec_rows_300):
+        for n in range(2, 301):
+            row, pairs = rec_rows_300[n], math.comb(n, 2)
+            for k in range(1, n + 1):
+                assert math.factorial(n - 1) <= row[k] * math.factorial(k - 1), (n, k)
+                assert row[k] * math.factorial(n - k) <= pairs ** (n - k), (n, k)
+
+    def test_sides_are_read_at_their_peaks(self):
+        # the lower side peaks at k = 2 of the middle k >= 2, the upper side
+        # at h or h + 1 of all k in [1, n]
+        for n in range(3, 301):
+            sides = [rec_side_bounds(n, k) for k in range(1, n + 1)]
+            lower, upper = scaling._rec_bounds(n)
+            assert lower == pytest.approx(max(low for low, _ in sides[1:]), abs=1e-12), n
+            assert upper == pytest.approx(max(high for _, high in sides), abs=1e-12), n
+
+    def test_cut_is_one_up_to_5000(self):
+        start = time.perf_counter()
+        cuts = [scaling._rec_cut(n) for n in range(3, 5001)]
+        elapsed = time.perf_counter() - start
+        assert cuts == [1] * len(cuts)
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 50, 300])
+    def test_cut_follows_the_floor(self, monkeypatch, n):
+        # a slack that puts the floor just above or just below each side's
+        # peak, recomputed from the bounds of every k; the upper side is the
+        # nearer one for n <= 8, the lower one from n = 9 on
+        sides = [rec_side_bounds(n, k) for k in range(1, n + 1)]
+        peaks = (max(low for low, _ in sides[1:]), max(high for _, high in sides))
+        ends = rec_end_floor(n) + scaling._BOUND_SLACK
+        for peak in peaks:
+            for gap in (-1e-10, 1e-10):
+                monkeypatch.setattr(scaling, "_BOUND_SLACK", ends - (peak + gap))
+                expected = 1 if max(peaks) < peak + gap else n
+                assert scaling._rec_cut(n) == expected, (n, peak, gap)
+
+    def test_skipped_segments_deviate_less_on_real_rows(self, rec_rows_300):
+        for n in range(3, 301):
+            row, floor = rec_rows_300[n], rec_end_floor(n)
+            for k in range(scaling._rec_cut(n) + 1, n):
+                y = big_ln(row[k]) / (n * math.log(n))
+                for x in (k / n, (k + 1) / n):
+                    assert abs(y - target_value(REC, x)) < floor, (n, k)
+
+    def test_prefix_scans_match_full_rows(self, rec_rows_300):
+        full = [full_scan_sup(n, REC, rec_rows_300[n]) for n in range(2, 301)]
+        assert tau_series(REC, 2, 300) == full
+        for n in (2, 3, 4, 5, 100, 300):
+            assert sup_deviation(n, REC) == full[n - 2]
+
+    def test_series_builds_rows_to_k_one(self, monkeypatch):
+        seen = []
+
+        def rows(n_max, k_max=None):
+            seen.append(k_max)
+            return iter_rec_rows(n_max, k_max)
+
+        monkeypatch.setattr(scaling, "iter_rec_rows", rows)
+        tau_series(REC, 2, 400)
+        sup_deviation(1000, REC)
+        assert seen == [1, 1]
 
 
 class TestTauSeries:
