@@ -63,21 +63,23 @@ sum[q0..n] + 1 + r with 0 <= r <= q0 - 2, and F_q0 and F_q0+1 give
     C(n, k) >= (q0 - 2) C(q0 - 2, r + 1) + (q0 - 1) C(q0 - 1, r + 1 + q0).
 
 The bound depends on (q0, r) alone, so its exact least value over each
-run serves every n, and ``_run_minima`` finds those of all q0 <= n in
-one sweep of rows kept to k <= 2n - 1.
-The upper end on the run stays ``extremal._log_count_upper``,
-2^n Gamma(q0).  Both ends are constant on a run and T decreases, so no
+run serves every n.  ``_run_minimum`` reads that of q0 from the rows of
+q0 - 2 and q0 - 1, so one sweep of rows kept to k <= 2n - 1 has those
+of all q0 <= n in hand when it reaches row n, and the scan of n reads
+that same row.  The upper end on the run stays
+``extremal._log_count_upper``, 2^n Gamma(q0).  Both ends are constant on a run and T decreases, so no
 segment of the run deviates by more than max(hi/(n ln n) - T(x_end),
-T(x_start) - lo/(n ln n)), read at the run's two ends.  ``_srec_cuts``
+T(x_start) - lo/(n ln n)), read at the run's two ends.  ``_srec_cut``
 walks the runs down from the top and ends the cut at the first run
 whose bound reaches the threshold, the end segments here taken from
-row[1] = (n-1)! and C(n, top) = 1, known without the row.  Every run is
-below it for each n from 2 to 600 but 5, so ``sup_deviation`` and
-``tau_series`` build the rows only up to k = n (up to 9 of 15 at n = 5)
-and scan the middle segments up to it.  The entries past the cut are
-never computed: each of their segments deviates by strictly less than
-the end segments, the slack covering the bounds' rounding as above, so
-the report is the one the full row gives.
+row[1] = (n-1)! and C(n, top) = 1.  Every run is below it for each n
+from 2 to 1200 but 5, so ``sup_deviation`` and ``tau_series`` scan the
+middle segments only up to k = n (up to 9 of 15 at n = 5), inside the
+swept prefix; a cut past the prefix, at an n whose runs are not all
+below the threshold, makes the scan build the whole row.  The entries
+past the cut are never read: each of their segments deviates by
+strictly less than the end segments, the slack covering the bounds'
+rounding as above, so the report is the one the full row gives.
 
 For rec the same threshold needs no row beyond k = 1.  Expanding
 q(q+1)...(q+n-1) gives c(n, k) = e_{n-k}(1, 2, ..., n-1), the
@@ -102,13 +104,14 @@ evaluates those three values, O(1) float operations per n.  The floor
 is the first segment's deviation at x = 0, 1 - ln((n-1)!)/(n ln n),
 less the slack: (n-1)! < n^(n-1) keeps that segment below T(1/n), and
 c(n, n) = 1 deviates by 0 at x = 1.  ``_rec_cut`` reads ln((n-1)!) as
-lgamma(n), so no factorial is built; the few ulps by which it may
+lgamma(n), so the cut needs no factorial; the few ulps by which it may
 differ from the scan's log of (n-1)! sit inside the slack as the
 rounding above does.  When the three values lie below the floor, no
-middle k >= 2 can hold the sup, the row is built only to k = 1, and the
-sup is the first segment's deviation at x = 0.  The margin is 2/n
-below and about 1/(2 ln n) above; the check holds for every n from 2 to
-10^6 and at the n sampled up to 10^9.  From n = 2 * 10^9 on, 2/n no
+middle k >= 2 can hold the sup, and the sup is the first segment's
+deviation at x = 0: no row is built, and the scan reads only (n-1)!, a
+running product over the range of n seeded with ``math.factorial``.
+The margin is 2/n below and about 1/(2 ln n) above; the check holds for
+every n from 2 to 10^6 and at the n sampled up to 10^9.  From n = 2 * 10^9 on, 2/n no
 longer clears the slack and the cut is the whole row.  The curves and
 the tables keep full rows.
 """
@@ -124,7 +127,6 @@ from .tables import (
     REC,
     SREC,
     big_ln,
-    iter_rec_rows,
     iter_srec_rows,
     rec_table,
     srec_max,
@@ -266,7 +268,7 @@ def _segment_plan(
 
     Middle segment k is (k/top, (k+1)/top, row[k]); the first and last
     segments are the end branches row[1] and row[top].  A ``k_max`` below
-    top (a cut of ``_rec_cut`` or ``_srec_cuts``) ends the middle range
+    top (a cut of ``_rec_cut`` or ``_srec_cut``) ends the middle range
     at k_max; ``row`` then need only reach k_max, and the last segment
     takes row[top] = 1 (c(n, n) = C(n, top) = 1).
     """
@@ -315,6 +317,8 @@ def _floor(target: Callable[[float], float], n_ln_n: float, first, last) -> floa
 def _sup_from_row(
     n: int, stat: str, row: Sequence[int], k_max: int | None = None
 ) -> DeviationReport:
+    if k_max is not None and k_max >= len(row):  # a cut past the row in hand
+        row = _row(n, stat)
     target = _target(stat)
     n_ln_n = n * math.log(n)
     first, top, middle, last = _segment_plan(n, stat, row, k_max)
@@ -339,67 +343,72 @@ def _sup_from_row(
     return DeviationReport(n, stat, best_dev, best_dev * math.log(n), best_x)
 
 
-def _run_minima(q_max: int) -> Iterator[int]:
-    """The least family bound of the run of each q0 = 3, ..., q_max, in order.
+def _run_minimum(q0: int, prev: list[int], row: list[int]) -> int:
+    """The least family bound of the run of q0 >= 3, over the run's r in [0, q0-2].
 
     The family bound of (q0, r) is (q0-2) C(q0-2, r+1) + (q0-1) C(q0-1, r+1+q0)
-    (module docstring), taken over the run's r in [0, q0-2].  At q0 = 3
-    only r = 0 counts: r = 1 is k = top - 1, the zero coefficient, which
-    no middle segment reads.  One sweep of srec rows 1..q_max-1 (q_max >= 2),
-    each kept to k <= 2 q_max - 1, reads row q0-1 and the prefix k <= q0
-    of row q0-2, which is all it keeps of a previous row.  A caller should
-    not keep the minima: each one kept pins the allocator's memory of its
-    row (3 MB of peak RSS at q_max = 400), so ``_srec_cuts`` keeps their
-    logs.
+    (module docstring).  ``prev`` is the srec row of q0 - 2 and ``row``
+    that of q0 - 1, each needed only up to k <= q0 - 1 and k <= 2 q0 - 1;
+    a row shorter than that is whole, and C(m, k) = 0 past its top.  At
+    q0 = 3 only r = 0 counts: r = 1 is k = top - 1, the zero coefficient,
+    which no middle segment reads.
     """
-    prev = [0, 1]
-    for m, row in iter_srec_rows(q_max - 1, k_max=2 * q_max - 1):
-        q0 = m + 1
-        if q0 >= 3:
-            width = q0 - 1 if q0 > 3 else 1
-            tail = row[q0 + 1:q0 + 1 + width]
-            tail.extend([0] * (width - len(tail)))  # C(m, k) = 0 past k = top(m)
-            yield min(map(add, map(mul, repeat(q0 - 2), prev[1:width + 1]),
-                          map(mul, repeat(q0 - 1), tail)))
-        prev = row[:m + 2]
+    width = q0 - 1 if q0 > 3 else 1
+    tail = row[q0 + 1:q0 + 1 + width]
+    tail.extend([0] * (width - len(tail)))  # C(m, k) = 0 past k = top(m)
+    return min(map(add, map(mul, repeat(q0 - 2), prev[1:width + 1]),
+                   map(mul, repeat(q0 - 1), tail)))
 
 
-def _srec_cuts(n_min: int, n_max: int) -> dict[int, int]:
-    """The last k of the srec row of each n that the sup scan must read; top if it must read all.
+def _srec_cut(n: int, row: Sequence[int], lows: Sequence[float]) -> int:
+    """The last k of the srec row of n that the sup scan must read; top if it must read all.
 
     Every middle k > n lies in the run of one q0 = n - i0 in [3, n]
     (module docstring): k = s + 1 + r with s = sum[q0..n] and
-    0 <= r <= q0 - 2.  On the run, ln C(n, k) lies between lo, the log of
-    the run's minimum from ``_run_minima``, and hi = n ln 2 + ln Gamma(q0),
-    the upper end ``extremal._log_count_upper``.  So no segment of the run
-    deviates by more than max(hi/(n ln n) - T(x_end), T(x_start) -
-    lo/(n ln n)), with x_start = (s+1)/top and x_end the right end of the
-    run's last middle segment.  Runs bounded below the floor, the exact
-    end segments (row[1] = (n-1)! and C(n, top) = 1) less
-    ``_BOUND_SLACK``, cannot hold the sup; walking down from the top, the
-    first run that reaches it ends the cut, and the cut is n when none
+    0 <= r <= q0 - 2.  On the run, ln C(n, k) lies between lo =
+    ``lows[q0]``, the log of the run's ``_run_minimum``, and hi = n ln 2 +
+    ln Gamma(q0), the upper end ``extremal._log_count_upper``.  So no
+    segment of the run deviates by more than max(hi/(n ln n) - T(x_end),
+    T(x_start) - lo/(n ln n)), with x_start = (s+1)/top and x_end the
+    right end of the run's last middle segment.  Runs bounded below the
+    floor, the exact end segments (row[1] = (n-1)! and C(n, top) = 1)
+    less ``_BOUND_SLACK``, cannot hold the sup; walking down from the top,
+    the first run that reaches it ends the cut, and the cut is n when none
     does.
     """
-    lows = [0.0, 0.0, 0.0, *map(big_ln, _run_minima(n_max))]  # indexed by q0
-    log_gamma = [0.0, *map(math.lgamma, range(1, n_max + 1))]
-    cuts = {}
-    for n in range(n_min, n_max + 1):
-        top, _, b = _cuts(n, SREC)
-        n_ln_n = n * math.log(n)
-        first, _, _, last = _segment_plan(n, SREC, (0, math.factorial(n - 1)), 1)
-        floor = _floor(_sqrt_one_minus, n_ln_n, first, last)
-        n_ln_2 = n * _LN2
-        cut = n
-        s = top - 3  # sum[q0..n] at q0 = 3
-        for q0 in range(3, n + 1):
-            hi = (n_ln_2 + log_gamma[q0]) / n_ln_n - math.sqrt(1.0 - min(s + q0, b) / top)
-            lo = math.sqrt(1.0 - (s + 1) / top) - lows[q0] / n_ln_n
-            if hi >= floor or lo >= floor:
-                cut = top if q0 == 3 else s + q0 - 1
-                break
-            s -= q0
-        cuts[n] = cut
-    return cuts
+    top, _, b = _cuts(n, SREC)
+    n_ln_n = n * math.log(n)
+    first, _, _, last = _segment_plan(n, SREC, row, 1)
+    floor = _floor(_sqrt_one_minus, n_ln_n, first, last)
+    n_ln_2 = n * _LN2
+    s = top - 3  # sum[q0..n] at q0 = 3
+    for q0 in range(3, n + 1):
+        hi = (n_ln_2 + math.lgamma(q0)) / n_ln_n - math.sqrt(1.0 - min(s + q0, b) / top)
+        lo = math.sqrt(1.0 - (s + 1) / top) - lows[q0] / n_ln_n
+        if hi >= floor or lo >= floor:
+            return top if q0 == 3 else s + q0 - 1
+        s -= q0
+    return n
+
+
+def _srec_rows(n_min: int, n_max: int) -> Iterator[tuple[int, list[int], int]]:
+    """(n, srec row of n, its ``_srec_cut``) for n in [n_min, n_max], from one sweep.
+
+    The rows are kept to k <= 2 n_max - 1, enough for every run minimum
+    and for the cut k = n (9 at n = 5).  Row m, with the prefix k <= m
+    of row m - 1, gives the ``_run_minimum`` of q0 = m + 1, so the
+    minima of every q0 <= n are in hand when row n arrives.  Only their
+    logs are kept: each minimum kept as an int pins the allocator's
+    memory of its row (3 MB of peak RSS at n_max = 400).
+    """
+    lows = [0.0, 0.0, 0.0]  # indexed by q0
+    prev = [0, 1]
+    for n, row in iter_srec_rows(n_max, k_max=2 * n_max - 1):
+        if n >= n_min:
+            yield n, row, _srec_cut(n, row, lows)
+        if 2 <= n < n_max:
+            lows.append(big_ln(_run_minimum(n + 1, prev, row)))
+        prev = row[:n + 2]
 
 
 def _rec_bounds(n: int) -> tuple[float, float]:
@@ -432,15 +441,18 @@ def _rec_cut(n: int) -> int:
     return 1 if max(_rec_bounds(n)) < floor else n
 
 
+def _rec_rows(n_min: int, n_max: int) -> Iterator[tuple[int, tuple[int, int], int]]:
+    """(n, (0, (n-1)!), its ``_rec_cut``) for n in [n_min, n_max]: the row up to k = 1."""
+    factorial = math.factorial(n_min - 1)
+    for n in range(n_min, n_max + 1):
+        yield n, (0, factorial), _rec_cut(n)
+        factorial *= n
+
+
 def _reports(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """``tau_series`` without its argument checks."""
-    if stat == REC:
-        cuts = {n: _rec_cut(n) for n in range(n_min, n_max + 1)}
-        rows = iter_rec_rows(n_max, k_max=max(cuts.values()))
-    else:
-        cuts = _srec_cuts(n_min, n_max)
-        rows = iter_srec_rows(n_max, k_max=max(cuts.values()))
-    return [_sup_from_row(n, stat, row, cuts[n]) for n, row in rows if n >= n_min]
+    rows = _rec_rows(n_min, n_max) if stat == REC else _srec_rows(n_min, n_max)
+    return [_sup_from_row(n, stat, row, cut) for n, row, cut in rows]
 
 
 def sup_deviation(n: int, stat: str) -> DeviationReport:
@@ -452,11 +464,13 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
     provably cannot hold the sup, by the bit lengths of their smallest
     and largest values, are skipped (see the module docstring).  A value
     below 1 raises ValueError, checked per block before any block is
-    skipped.  The count row of (n, stat) is built here; on it the scan
-    allocates O(sqrt(len)) memory.  The row is built only up to the cut
-    of the bounds on its counts: for srec the run bounds, k = n for
-    every n from 6 to 600; for rec the closed-form bounds, k = 1 for
-    every n from 2 to 10^6 checked.  The entries past the cut sit on
+    skipped.  The scan reads the count row of (n, stat) only up to the
+    cut of the bounds on its counts: for srec the run bounds, k = n for
+    every n from 6 to 1200, read from one sweep of rows kept to
+    k <= 2n - 1; for rec the closed-form bounds, k = 1 for every n from
+    2 to 10^6 checked, so it reads (n-1)! alone and builds no row.  A
+    cut past that prefix builds the whole row.  On the row the scan
+    allocates O(sqrt(len)) memory.  The entries past the cut sit on
     segments that deviate by strictly less than the end segments do, so
     they cannot hold the sup and the report is the full row's (module
     docstring).  ``tau_series`` scans a range of n.
@@ -474,13 +488,13 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
 def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """DeviationReport for every n in [n_min, n_max], ascending.
 
-    Rows are built once, incrementally, in one list updated in place,
-    and each row is scanned before the next one overwrites it, so one
-    row is alive at a time.  Each n's cut comes first: for rec from
-    ``_rec_cut`` in closed form, for srec from a first sweep, of rows
-    kept to k <= 2 n_max - 1, that finds the run bounds.  The rows stop
-    at the largest cut of the range, as ``sup_deviation`` says, and each
-    n reads its row only up to its own cut.
+    One pass over n yields each row with its cut, as ``sup_deviation``
+    says, and each n reads its row only up to its own cut.  For srec
+    the rows come from one sweep, kept to k <= 2 n_max - 1, in one list
+    updated in place; each row gives a run minimum for the cuts of the
+    rows after it, and is scanned before the next one overwrites it, so
+    one row is alive at a time.  For rec each n reads only (n-1)!, a
+    running product, beside the closed-form ``_rec_cut``.
     """
     _check_stat(stat)
     if not 2 <= n_min <= n_max:

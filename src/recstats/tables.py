@@ -111,35 +111,22 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-def _prefix_end(k_max: int | None, top: int) -> int:
-    """The last k a row iterator keeps: ``k_max``, or ``top`` (the whole of every row) for None."""
-    if k_max is None:
-        return top
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return k_max
-
-
-def iter_rec_rows(n_max: int, k_max: int | None = None) -> Iterator[tuple[int, list[int]]]:
+def iter_rec_rows(n_max: int) -> Iterator[tuple[int, list[int]]]:
     """Yield (n, dense REC row indexed 0..n) for n = 1..n_max.
 
     Every step yields the same list, updated in place to the next row,
     so one row is alive at a time; copy a row to keep it past the next
-    ``next()``.  With ``k_max`` (at least 1), each row holds only its
-    entries k <= k_max, or all of them once n <= k_max.  The recurrence
-    reads only lower indices, so that prefix is exact.
+    ``next()``.
     """
     _check_n(n_max)
-    k_max = _prefix_end(k_max, n_max)
     row = [0, 1]
     yield 1, row
     for n in range(2, n_max + 1):
         m = n - 1
         # c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k); a downward sweep over k
         # reads each old entry before it is overwritten
-        if n <= k_max:
-            row.append(row[m])
-        for k in range(min(m, k_max), 0, -1):
+        row.append(row[m])
+        for k in range(m, 0, -1):
             row[k] = row[k - 1] + m * row[k]
         yield n, row
 
@@ -154,7 +141,10 @@ def iter_srec_rows(n_max: int, k_max: int | None = None) -> Iterator[tuple[int, 
     recurrence reads only lower indices, so that prefix is exact.
     """
     _check_n(n_max)
-    k_max = _prefix_end(k_max, srec_max(n_max))
+    if k_max is None:
+        k_max = srec_max(n_max)
+    elif k_max < 1:
+        raise ValueError("k_max must be >= 1")
     row = [0, 1]
     yield 1, row
     for n in range(2, n_max + 1):

@@ -4,7 +4,6 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import repeat
 
 import pytest
 from hypothesis import given
@@ -25,7 +24,8 @@ from recstats.scaling import (
     tau_csv,
     tau_series,
 )
-from recstats.tables import REC, SREC, big_ln, iter_rec_rows, rec_table, srec_max, srec_table
+from recstats import tables
+from recstats.tables import REC, SREC, big_ln, iter_srec_rows, rec_table, srec_max, srec_table
 
 
 def full_scan_sup(n: int, stat: str, row) -> DeviationReport:
@@ -365,6 +365,21 @@ def run_bound(n: int, q0: int, low: int) -> float:
     return max(upper_run_bound(n, q0), lower)
 
 
+def run_minima(q_max: int) -> list[int]:
+    """The ``_run_minimum`` of q0 = 3, ..., q_max, from one sweep of row prefixes as the scan reads them."""
+    prev, minima = [0, 1], []
+    for m, row in iter_srec_rows(q_max - 1, k_max=2 * q_max - 1):
+        if m >= 2:
+            minima.append(scaling._run_minimum(m + 1, prev, row))
+        prev = row[:m + 2]
+    return minima
+
+
+def srec_cuts(n_min: int, n_max: int) -> dict[int, int]:
+    """The cut of each n in [n_min, n_max], as the series sweep yields it."""
+    return {n: cut for n, _, cut in scaling._srec_rows(n_min, n_max)}
+
+
 def expected_cut(n: int, bounds) -> int:
     """The cut for the run bounds of q0 = 3, 4, ..., n: the first run from the top that reaches the floor."""
     floor = end_floor(n)
@@ -400,27 +415,30 @@ class TestSrecCut:
             q0, r = run_of(n, k)
             bound = family_bound(srec_rows_150, q0, r)
             per_run[q0] = min(per_run.get(q0, bound), bound)
-        assert list(scaling._run_minima(151)) == [per_run[q0] for q0 in range(3, 152)]
+        rows = {1: [0, 1], **srec_rows_150}
+        minima = [scaling._run_minimum(q0, rows[q0 - 2], rows[q0 - 1]) for q0 in range(3, 152)]
+        assert minima == [per_run[q0] for q0 in range(3, 152)]
+        assert run_minima(151) == minima
 
     def test_run_minima_dominate_the_single_set_bound(self):
         # lows[q0] >= Gamma(q0)/n^2 for every n >= q0, the weakest at n = q0,
         # so the one-set end of ``srec_count_lower`` would never cut further
-        for q0, low in enumerate(scaling._run_minima(300), start=3):
+        for q0, low in enumerate(run_minima(300), start=3):
             assert big_ln(low) > math.lgamma(q0) - 2 * math.log(q0), q0
 
     def test_both_sides_of_the_rule_run(self):
-        cuts = scaling._srec_cuts(2, 300)
+        cuts = srec_cuts(2, 300)
         assert cuts[5] == 9  # the run of q0 = 5 (k = 6..9) reaches the floor
         assert all(cuts[n] == n for n in range(2, 301) if n != 5)
-        assert scaling._srec_cuts(300, 300) == {300: 300}
+        assert srec_cuts(300, 300) == {300: 300}
 
     @pytest.mark.parametrize("slack", [scaling._BOUND_SLACK, 0.02, 0.05, 0.1])
     def test_cut_ends_at_the_first_run_that_reaches_the_floor(self, monkeypatch, slack):
         # each run bound recomputed from extremal's upper end and the exact
         # minima; a wider slack lowers the floor and raises the cut
         monkeypatch.setattr(scaling, "_BOUND_SLACK", slack)
-        lows = [0, 0, 0, *scaling._run_minima(300)]
-        cuts = scaling._srec_cuts(3, 300)
+        lows = [0, 0, 0, *run_minima(300)]
+        cuts = srec_cuts(3, 300)
         for n in self.CUT_NS:
             bounds = [run_bound(n, q0, lows[q0]) for q0 in range(3, n + 1)]
             assert cuts[n] == expected_cut(n, bounds), (n, slack)
@@ -430,16 +448,16 @@ class TestSrecCut:
         # floor).  Here minima of n^(4n) switch the lower end off, and a floor
         # just below each sampled run's upper bound lets that run, or one above
         # it, end the cut
-        monkeypatch.setattr(scaling, "_run_minima", lambda q_max: repeat(q_max ** (4 * q_max), q_max - 2))
         for n in (10, 50, 150, 300):
+            monkeypatch.setattr(scaling, "_run_minimum", lambda q0, prev, row, low=n ** (4 * n): low)
             ends = end_floor(n) + scaling._BOUND_SLACK
             uppers = [upper_run_bound(n, q0) for q0 in range(3, n + 1)]
             for level in uppers[::max(1, n // 20)]:
                 monkeypatch.setattr(scaling, "_BOUND_SLACK", ends - (level - 1e-12))
-                assert scaling._srec_cuts(n, n)[n] == expected_cut(n, uppers), (n, level)
+                assert srec_cuts(n, n) == {n: expected_cut(n, uppers)}, (n, level)
 
     def test_skipped_segments_deviate_less_on_real_rows(self, srec_rows_150):
-        cuts = scaling._srec_cuts(3, 150)
+        cuts = srec_cuts(3, 150)
         for n in range(3, 151):
             row, top = srec_rows_150[n], srec_max(n)
             floor = end_floor(n)
@@ -526,17 +544,62 @@ class TestRecCut:
         for n in (2, 3, 4, 5, 100, 300):
             assert sup_deviation(n, REC) == full[n - 2]
 
-    def test_series_builds_rows_to_k_one(self, monkeypatch):
-        seen = []
+    def test_certificates_build_no_row(self, monkeypatch):
+        def no_row(*args):
+            raise AssertionError("a certified rec sup built a row")
 
-        def rows(n_max, k_max=None):
-            seen.append(k_max)
-            return iter_rec_rows(n_max, k_max)
-
-        monkeypatch.setattr(scaling, "iter_rec_rows", rows)
+        monkeypatch.setattr(tables, "iter_rec_rows", no_row)
+        monkeypatch.setattr(scaling, "rec_table", no_row)
         tau_series(REC, 2, 400)
         sup_deviation(1000, REC)
-        assert seen == [1, 1]
+
+
+def spy(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of scaling's ``name``, which still runs."""
+    calls = []
+    real = getattr(scaling, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scaling, name, wrapper)
+    return calls
+
+
+class TestOneSweep:
+    """One sweep per certificate, and the whole row only for a cut past the row in hand."""
+
+    def test_srec_rows_are_swept_once(self, monkeypatch):
+        sweeps = spy(monkeypatch, "iter_srec_rows")
+        tau_series(SREC, 2, 60)
+        assert len(sweeps) == 1
+        sup_deviation(400, SREC)
+        assert len(sweeps) == 2
+
+    @pytest.mark.parametrize("slack", [0.02, 0.05, 0.1])
+    def test_srec_cut_past_the_prefix_reads_the_whole_row(self, monkeypatch, srec_rows_150, slack):
+        # slacks of test_cut_ends_at_the_first_run_that_reaches_the_floor:
+        # the cuts of many n pass k = 2 n_max - 1, the end of the rows swept
+        monkeypatch.setattr(scaling, "_BOUND_SLACK", slack)
+        whole = spy(monkeypatch, "_row")
+        full = [full_scan_sup(n, SREC, srec_rows_150[n]) for n in range(2, 61)]
+        assert tau_series(SREC, 2, 60) == full
+        assert whole
+        for n in (6, 25, 60):
+            assert sup_deviation(n, SREC) == full[n - 2]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 50, 300])
+    def test_rec_cut_past_k_one_reads_the_whole_row(self, monkeypatch, rec_rows_300, n):
+        # the slack of TestRecCut.test_cut_follows_the_floor that puts the
+        # floor just below the higher peak: the cut of n is n
+        sides = [rec_side_bounds(n, k) for k in range(1, n + 1)]
+        peak = max(max(low for low, _ in sides[1:]), max(high for _, high in sides))
+        monkeypatch.setattr(scaling, "_BOUND_SLACK", rec_end_floor(n) + scaling._BOUND_SLACK - (peak - 1e-10))
+        whole = spy(monkeypatch, "_row")
+        assert sup_deviation(n, REC) == full_scan_sup(n, REC, rec_rows_300[n])
+        assert whole == [(n, REC)]
+        assert tau_series(REC, 2, n) == [full_scan_sup(m, REC, rec_rows_300[m]) for m in range(2, n + 1)]
 
 
 class TestTauSeries:
@@ -553,8 +616,8 @@ class TestTauSeries:
 
     def test_streaming_matches_per_n(self):
         assert tau_series(SREC, 2, 25) == [sup_deviation(n, SREC) for n in range(2, 26)]
-        # the series builds its rows up to the largest cut of its range,
-        # each sup_deviation up to its own
+        # the series sweeps its rows to k <= 2 n_max - 1, each sup_deviation
+        # to k <= 2 n - 1
         assert tau_series(SREC, 290, 300) == [sup_deviation(n, SREC) for n in range(290, 301)]
 
     def test_guards(self):

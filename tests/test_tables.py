@@ -146,19 +146,6 @@ class TestRowIterators:
         with pytest.raises(ValueError, match="k_max"):
             next(iter_srec_rows(5, k_max=0))
 
-    def test_rec_prefixes(self, rec_rows_300):
-        # as for srec: k_max stops each row after k_max, shorter rows stay whole
-        for n in range(1, 31):
-            for k_max in {1, 2, n - 1, n, n + 5} - {0}:
-                generator = iter_rec_rows(n, k_max=k_max)
-                for j, row in generator:
-                    assert row == rec_rows_300[j][: k_max + 1], (n, k_max, j)
-                assert j == n
-
-    def test_rec_prefix_needs_k_max_of_one(self):
-        with pytest.raises(ValueError, match="k_max"):
-            next(iter_rec_rows(5, k_max=0))
-
     @pytest.mark.parametrize("build,n", [(srec_table, 120), (rec_table, 600)])
     def test_peak_memory_is_about_one_row(self, build, n):
         # building the next row beside the previous one peaked at about
