@@ -39,7 +39,7 @@ _HOMES = {
     name: layer
     for layer, names in (
         ("extremal", ("ExtremalResult", "GammaBounds", "gamma_bounds", "i0_closed",
-                      "min_product", "srec_count_bounds", "srec_count_lower")),
+                      "min_product", "srec_count_bounds")),
         ("oracles", ("brute_force_tables", "i0_greedy", "rec_prob_sum", "srec_prob_sum")),
         ("perm", ("Permutation", "RecordProfile", "iter_uniform", "lehmer_decode",
                   "lehmer_encode", "records", "sample_uniform", "sample_uniform_many")),

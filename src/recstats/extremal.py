@@ -64,13 +64,16 @@ and r = k - 1 - sum[q0..n], so 0 <= r < q0 - 1 by the definition of
 i_0.  If r >= 2, the set {r} + [q0..n] is admissible, so m <= rL < nL.
 If r = 0, [q0..n] gives m = L.  If r = 1, then q0 >= 4 (q0 = 3 is the
 infeasible k = n(n+1)/2 - 1), and [q0+1..n] + {2, q0 - 1} gives
-m <= 2L(q0 - 1)/q0 < 2L <= nL.  With it, ``srec_count_lower`` gives
-the sharp lower end C(n, k) > Gamma(n-i_0)/n^2, a factor e^n/n above
-the paper's, so the count bracket is Gamma(n-i_0)/n^2 < C(n, k) <=
-2^n Gamma(n-i_0).  That lower end keeps one term of C(n, k), the set
-of m(n, k); the ``scaling`` module docstring sums two disjoint families
-of sets instead, a bound about e^10 sharper in the middle of the row at
-n = 300, on which the srec sup scan cuts its rows.
+m <= 2L(q0 - 1)/q0 < 2L <= nL.  That sharpens the lower end of the
+count bracket.  Position j of a uniform permutation is a record with
+probability 1/j, independently of the others, so the permutations whose
+records sit exactly at {1} + S, S a subset of {2, ..., n}, number
+(n-1)!/prod(v - 1 for v in S) >= n!/(n prod(S)).  The set of m(n, k)
+alone then gives C(n, k) >= n!/(n m(n, k)) > Gamma(n-i_0)/n^2, a factor
+e^n/n above the paper's lower end.  That keeps one term of C(n, k); the
+``scaling`` module docstring sums two disjoint families of sets
+instead, a bound about e^10 sharper in the middle of the row at
+n = 300, on which the srec sup scan is certified.
 """
 
 from __future__ import annotations
@@ -223,41 +226,14 @@ def srec_count_bounds(n: int, k: int) -> tuple[float, float]:
     return log_lower, _log_count_upper(n, k)
 
 
-def srec_count_lower(n: int, k: int) -> float:
-    """ln of the sharp lower end of the srec count C(n, k), 3 <= k <= n(n+1)/2.
-
-    C(n, k) >= (n-1)!/(k-1) for 3 <= k <= n, and C(n, k) > Gamma(n-i0)/n^2
-    for k >= n+1; for k > n this is e^n/n times the lower end of
-    ``srec_count_bounds``.  Proof: position j of a uniform permutation is
-    a record with probability 1/j, independently of the others, so the
-    permutations whose records sit exactly at {1} + S, S a subset of
-    {2, ..., n}, number (n-1)!/prod(v - 1 for v in S) >= n!/(n prod(S)).
-    An optimal set of m(n, k) has sum k - 1, so C(n, k) >= n!/(n m(n, k)).
-    For k <= n, m = k - 1; for k > n, m < nL with L = n!/Gamma(n-i0)
-    (module docstring), which gives the strict Gamma(n-i0)/n^2.
-
-    >>> srec_count_lower(10, 55) == -2 * math.log(10)  # C(10, 55) = 1 > 1/10^2
-    True
-    """
-    _check_count_domain(n, k)
-    return _log_count_lower(n, k)
-
-
-def _log_count_lower(n: int, k: int) -> float:
-    """:func:`srec_count_lower` without its domain checks."""
-    if k <= n:
-        return math.lgamma(float(n)) - math.log(k - 1)
-    return math.lgamma(float(n - _i0(n, k))) - 2.0 * math.log(n)
-
-
 def _log_count_upper(n: int, k: int) -> float:
     """ln of the upper end of ``srec_count_bounds``, without its domain checks.
 
     The end is 2^n n!/(k-1) for k <= n and 2^n Gamma(n-i0) for k > n; both
-    are non-increasing in k, as is :func:`_log_count_lower`, since i0 is
-    non-decreasing in k.  Proof of the end: C(n, k) sums, over the at most
-    2^(n-1) sets S of ``srec_count_lower``, the product of j - 1 over the
-    j in U = {2, ..., n} - S, so it is at most 2^(n-1) times the largest
+    are non-increasing in k, since i0 is non-decreasing in k.  Proof of
+    the end: C(n, k) sums, over the at most 2^(n-1) record sets S of the
+    module docstring, the product of j - 1 over the j in
+    U = {2, ..., n} - S, so it is at most 2^(n-1) times the largest
     term.  That term is at most (n-1)! <= n!/(k-1) for k <= n.  For k > n,
     U sums to at most 2 + 3 + ... + (n-i0-1), and distinct integers >= 2
     with that sum have product at most (n-i0-1)! = Gamma(n-i0), the

@@ -44,13 +44,36 @@ gives.  On top of the row, the scan holds one block's slice and the
 segments of the kept blocks: O(sqrt(len)) memory when few blocks are
 kept, as in count rows.
 
-For srec the same threshold, best - 1e-9, decides before the row is
-built how much of it to build.  Position j of a uniform permutation is
-a record with probability 1/j, independently of the others, so the
+For srec the same threshold, best - 1e-9, leaves the scan no more than
+the row's first entries to read.  Position j of a uniform permutation
+is a record with probability 1/j, independently of the others, so the
 permutations whose records sit exactly at {1} + S number
 prod(j - 1 for j in U), U = {2, ..., n} - S, and
 
-    C(n, k) = sum of prod(j - 1 for j in U) over S in {2, ..., n}, sum(S) = k - 1.
+    C(n, k) = (n-1)! * sum of 1/prod(s - 1 for s in S) over S in {2, ..., n}, sum(S) = k - 1.
+
+For k <= n + 1, a set of distinct integers >= 2 with sum k - 1 <= n
+has no element above n, so the bound S in {2, ..., n} can be dropped:
+C(n, k) = (n-1)! a_{k-1} for k <= n + 1, where a_j, the coefficient of
+z^j in prod(1 + z^s/(s - 1) for s >= 2), does not depend on n.  From
+a_0, ..., a_4 = 1, 0, 1, 1/2, 1/3, the row of n >= 4 begins
+(0, f, 0, f, f/2, f/3) with f = (n-1)!: that prefix is all the scan
+reads, with f a running product over the range of n seeded with
+``math.factorial``.
+
+The normalized rows D_m(k) = C(m, k)/(m-1)! follow D_m(k) = D_{m-1}(k)
++ D_{m-1}(k-m)/(m-1) from D_1 = (0, 1), and D_m(k) = a_{k-1} for
+k <= m + 1.  ``_normalized_rows`` runs that recurrence in floats.
+Every D_m(k) is a sum of nonnegative terms and a step rounds one
+quotient and one sum, so by induction each computed entry lies within a
+factor (1 + 2^-53)^(2m-2) of its exact value; a run's bound below
+rounds twice more, to (1 + 2^-53)^(2m), a relative error below
+3m 2^-53.  That holds for normal floats.  Only rows m > 170 hold
+entries below 2^-1022, kept only once n_max passes about 7000; there a
+rounding may add up to 2^-1075 instead, nothing beside the values read,
+each at least 1/n.  So the logs of the bounds err by about 3m 2^-53
+plus a few ulps of ``math.log`` and ``math.lgamma``, which divided by
+n ln n sits far inside the slack.
 
 For 3 <= q <= n + 1 let F_q hold the S with [q..n] in S and q - 1 not
 in S: q - 1 is the largest value S leaves out, so the F_q are disjoint.
@@ -58,28 +81,40 @@ Such an S is [q..n] plus a subset S' of {2, ..., q - 2}, and its term
 is q - 2 times the term of S' in the row of q - 2, so F_q adds up to
 (q - 2) C(q - 2, k - sum[q..n]), with C(m, j) = 0 off the row.  Every
 k > n lies in the run of one q0 = n - i0(n, k) (``extremal``), k =
-sum[q0..n] + 1 + r with 0 <= r <= q0 - 2, and F_q0 and F_q0+1 give
+sum[q0..n] + 1 + r with 0 <= r <= q0 - 2, and F_q0 and F_q0+1 give,
+with m = q0 - 1,
 
-    C(n, k) >= (q0 - 2) C(q0 - 2, r + 1) + (q0 - 1) C(q0 - 1, r + 1 + q0).
+    C(n, k) >= (q0 - 2) C(q0 - 2, r + 1) + (q0 - 1) C(q0 - 1, r + 1 + q0)
+             = (m - 1)! [D_m(r + 1) + m D_m(r + 1 + q0)],
 
-The bound depends on (q0, r) alone, so its exact least value over each
-run serves every n.  ``_run_minimum`` reads that of q0 from the rows of
-q0 - 2 and q0 - 1, so one sweep of rows kept to k <= 2n - 1 has those
-of all q0 <= n in hand when it reaches row n, and the scan of n reads
-that same row.  The upper end on the run stays
-``extremal._log_count_upper``, 2^n Gamma(q0).  Both ends are constant on a run and T decreases, so no
+the first term read from row m by the prefix identity, as r + 1 <= m.
+At q0 = 3 only r = 0 counts, where the bound is 1: r = 1 is k = top - 1,
+the zero coefficient, which no middle segment reads.  The bound depends
+on (q0, r) alone, so the least value over each run serves every n, and
+row m gives that of q0 = m + 1 in O(m) from its entries k <= 2m + 1.
+The upper end on the run stays ``extremal._log_count_upper``,
+2^n Gamma(q0).  Both ends are constant on a run and T decreases, so no
 segment of the run deviates by more than max(hi/(n ln n) - T(x_end),
-T(x_start) - lo/(n ln n)), read at the run's two ends.  ``_srec_cut``
-walks the runs down from the top and ends the cut at the first run
-whose bound reaches the threshold, the end segments here taken from
-row[1] = (n-1)! and C(n, top) = 1.  Every run is below it for each n
-from 2 to 1200 but 5, so ``sup_deviation`` and ``tau_series`` scan the
-middle segments only up to k = n (up to 9 of 15 at n = 5), inside the
-swept prefix; a cut past the prefix, at an n whose runs are not all
-below the threshold, makes the scan build the whole row.  The entries
-past the cut are never read: each of their segments deviates by
-strictly less than the end segments, the slack covering the bounds'
-rounding as above, so the report is the one the full row gives.
+T(x_start) - lo/(n ln n)), read at the run's two ends.  Likewise
+segments 6..n hold (n-1)! a_{k-1}, so they deviate by at most the larger
+of (ln((n-1)!) + ln max a)/(n ln n) - T((n+1)/top) and T(6/top) -
+(ln((n-1)!) + ln min a)/(n ln n), over a_5, ..., a_{n-1}.
+
+``_srec_cuts`` makes one sweep of the normalized rows up to n_max - 1,
+kept to k <= 2 n_max - 1.  Row n - 1 completes the least bound of the
+run of q0 = n and a_{n-1}, so ``_srec_cut`` reads the cut of n when that
+row arrives.  Its floor is the largest deviation of the end segments
+and of segments 3..5, (n-1)! on [0, 4/top), (n-1)!/2 and (n-1)!/3 on
+the next two and 1 on [1 - 1/top, 1], with ln((n-1)!) read as
+lgamma(n) as ``_rec_cut`` does, less the slack.  When the prefix bound
+and every run bound lie below it, no segment past k = 5 can hold the
+sup: the cut is 5, and the scan reads the row in hand.  That holds for
+every n from 6 to 1200; the sup sits at x = 0 up to n = 9 and at the
+left end of segment 5, (n-1)!/3, from n = 10 on.  n = 2..5, and any n
+whose bounds reach the floor, read the whole row.  The entries past the cut are never read:
+each of their segments deviates by strictly less than the sup, the
+slack covering the bounds' rounding as above, so the report is the one
+the full row gives.
 
 For rec the same threshold needs no row beyond k = 1.  Expanding
 q(q+1)...(q+n-1) gives c(n, k) = e_{n-k}(1, 2, ..., n-1), the
@@ -109,7 +144,7 @@ differ from the scan's log of (n-1)! sit inside the slack as the
 rounding above does.  When the three values lie below the floor, no
 middle k >= 2 can hold the sup, and the sup is the first segment's
 deviation at x = 0: no row is built, and the scan reads only (n-1)!, a
-running product over the range of n seeded with ``math.factorial``.
+running product as for srec.
 The margin is 2/n below and about 1/(2 ln n) above; the check holds for
 every n from 2 to 10^6 and at the n sampled up to 10^9.  From n = 2 * 10^9 on, 2/n no
 longer clears the slack and the cut is the whole row.  The curves and
@@ -120,21 +155,21 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .tables import (
     REC,
     SREC,
     big_ln,
-    iter_srec_rows,
     rec_table,
     srec_max,
     srec_table,
 )
 
-# rows stop at k = 2 n_max - 1 (module docstring); the cap stays until one
-# cost model sets every cap
+# the series reads each srec row only to k = 5, so its cost is the cuts': a
+# float sweep of about 1.5 n_max^2 operations and about n_max^2 / 2 run
+# bounds (module docstring); the cap stays until one cost model sets every cap
 SREC_SERIES_LIMIT = 300
 
 _LN2 = math.log(2.0)
@@ -309,11 +344,6 @@ def _exact_scan(
     return best_dev, best_x
 
 
-def _floor(target: Callable[[float], float], n_ln_n: float, first, last) -> float:
-    """The end segments' largest deviation less the slack; a block bounded below it is skipped."""
-    return _exact_scan(target, n_ln_n, (first, last))[0] - _BOUND_SLACK
-
-
 def _sup_from_row(
     n: int, stat: str, row: Sequence[int], k_max: int | None = None
 ) -> DeviationReport:
@@ -322,7 +352,8 @@ def _sup_from_row(
     target = _target(stat)
     n_ln_n = n * math.log(n)
     first, top, middle, last = _segment_plan(n, stat, row, k_max)
-    floor = _floor(target, n_ln_n, first, last)
+    # the end segments' largest deviation less the slack; a block bounded below it is skipped
+    floor = _exact_scan(target, n_ln_n, (first, last))[0] - _BOUND_SLACK
     size = math.isqrt(len(middle)) + 1
     segments = [first]
     for k_lo in range(middle.start, middle.stop, size):
@@ -343,72 +374,74 @@ def _sup_from_row(
     return DeviationReport(n, stat, best_dev, best_dev * math.log(n), best_x)
 
 
-def _run_minimum(q0: int, prev: list[int], row: list[int]) -> int:
-    """The least family bound of the run of q0 >= 3, over the run's r in [0, q0-2].
+def _normalized_rows(m_max: int) -> Iterator[tuple[int, list[float]]]:
+    """Yield (m, D_m) for m = 1..m_max, D_m(k) = C(m, k)/(m-1)! in floats for k <= 2 m_max + 1.
 
-    The family bound of (q0, r) is (q0-2) C(q0-2, r+1) + (q0-1) C(q0-1, r+1+q0)
-    (module docstring).  ``prev`` is the srec row of q0 - 2 and ``row``
-    that of q0 - 1, each needed only up to k <= q0 - 1 and k <= 2 q0 - 1;
-    a row shorter than that is whole, and C(m, k) = 0 past its top.  At
-    q0 = 3 only r = 0 counts: r = 1 is k = top - 1, the zero coefficient,
-    which no middle segment reads.
+    D_m(k) = D_{m-1}(k) + D_{m-1}(k-m)/(m-1), the recurrence of
+    ``tables.iter_srec_rows`` divided by (m-1)!.  Every step yields the
+    same list, updated in place; each entry is within a relative
+    3m 2^-53 of its exact value (module docstring).
     """
-    width = q0 - 1 if q0 > 3 else 1
-    tail = row[q0 + 1:q0 + 1 + width]
-    tail.extend([0] * (width - len(tail)))  # C(m, k) = 0 past k = top(m)
-    return min(map(add, map(mul, repeat(q0 - 2), prev[1:width + 1]),
-                   map(mul, repeat(q0 - 1), tail)))
+    d = [0.0] * (2 * m_max + 2)
+    d[1] = 1.0
+    for m in range(1, m_max + 1):
+        yield m, d
+        # D_{m+1}(k) = D_m(k) + D_m(k-m-1)/m, read from slices of row m
+        d[m + 2:] = map(add, d[m + 2:], map(truediv, d[1:-m - 1], repeat(m)))
 
 
-def _srec_cut(n: int, row: Sequence[int], lows: Sequence[float]) -> int:
-    """The last k of the srec row of n that the sup scan must read; top if it must read all.
+def _srec_cut(n: int, lows: Sequence[float], a_min: float, a_max: float) -> int:
+    """The last k of the srec row of n >= 6 that the sup scan must read: 5 when the bounds certify, else top.
 
-    Every middle k > n lies in the run of one q0 = n - i0 in [3, n]
-    (module docstring): k = s + 1 + r with s = sum[q0..n] and
-    0 <= r <= q0 - 2.  On the run, ln C(n, k) lies between lo =
-    ``lows[q0]``, the log of the run's ``_run_minimum``, and hi = n ln 2 +
-    ln Gamma(q0), the upper end ``extremal._log_count_upper``.  So no
-    segment of the run deviates by more than max(hi/(n ln n) - T(x_end),
-    T(x_start) - lo/(n ln n)), with x_start = (s+1)/top and x_end the
-    right end of the run's last middle segment.  Runs bounded below the
-    floor, the exact end segments (row[1] = (n-1)! and C(n, top) = 1)
-    less ``_BOUND_SLACK``, cannot hold the sup; walking down from the top,
-    the first run that reaches it ends the cut, and the cut is n when none
-    does.
+    The floor is the largest deviation of the end segments and of
+    segments 3..5, whose values are (n-1)!, (n-1)!/2 and (n-1)!/3, with
+    ln((n-1)!) read as lgamma(n), less ``_BOUND_SLACK``.  Segments 6..n
+    hold (n-1)! a_{k-1}, a_{k-1} in [a_min, a_max].  Every middle k > n
+    lies in the run of one q0 in [3, n], k = s + 1 + r with
+    s = sum[q0..n] and 0 <= r <= q0 - 2, on which ln C(n, k) lies between
+    ``lows[q0]`` and n ln 2 + ln Gamma(q0), extremal's upper end.  Each
+    bound is read at its range's two ends, as T decreases (module
+    docstring).
     """
     top, _, b = _cuts(n, SREC)
     n_ln_n = n * math.log(n)
-    first, _, _, last = _segment_plan(n, SREC, row, 1)
-    floor = _floor(_sqrt_one_minus, n_ln_n, first, last)
+    ln_f = math.lgamma(n)
+    ends = ((0, 4, ln_f), (4, 5, ln_f - _LN2), (5, 6, ln_f - math.log(3.0)), (b, top, 0.0))
+    floor = max(abs(y / n_ln_n - _sqrt_one_minus(x / top))
+                for lo, hi, y in ends for x in (lo, hi)) - _BOUND_SLACK
+    prefix = max((ln_f + math.log(a_max)) / n_ln_n - _sqrt_one_minus((n + 1) / top),
+                 _sqrt_one_minus(6 / top) - (ln_f + math.log(a_min)) / n_ln_n)
+    if prefix >= floor:
+        return top
     n_ln_2 = n * _LN2
     s = top - 3  # sum[q0..n] at q0 = 3
     for q0 in range(3, n + 1):
-        hi = (n_ln_2 + math.lgamma(q0)) / n_ln_n - math.sqrt(1.0 - min(s + q0, b) / top)
-        lo = math.sqrt(1.0 - (s + 1) / top) - lows[q0] / n_ln_n
+        hi = (n_ln_2 + math.lgamma(q0)) / n_ln_n - _sqrt_one_minus(min(s + q0, b) / top)
+        lo = _sqrt_one_minus((s + 1) / top) - lows[q0] / n_ln_n
         if hi >= floor or lo >= floor:
-            return top if q0 == 3 else s + q0 - 1
+            return top
         s -= q0
-    return n
+    return 5
 
 
-def _srec_rows(n_min: int, n_max: int) -> Iterator[tuple[int, list[int], int]]:
-    """(n, srec row of n, its ``_srec_cut``) for n in [n_min, n_max], from one sweep.
+def _srec_cuts(n_min: int, n_max: int) -> Iterator[int]:
+    """The ``_srec_cut`` of each n in [n_min, n_max], top for n < 6, from one sweep of ``_normalized_rows``.
 
-    The rows are kept to k <= 2 n_max - 1, enough for every run minimum
-    and for the cut k = n (9 at n = 5).  Row m, with the prefix k <= m
-    of row m - 1, gives the ``_run_minimum`` of q0 = m + 1, so the
-    minima of every q0 <= n are in hand when row n arrives.  Only their
-    logs are kept: each minimum kept as an int pins the allocator's
-    memory of its row (3 MB of peak RSS at n_max = 400).
+    Row m = n - 1 completes the run of q0 = n, whose least family bound
+    (m-1)! min_r [D_m(r+1) + m D_m(r+1+q0)] it gives in O(m), and
+    a_{n-1} = D_m(n); so the cut of n is read when that row arrives.
     """
-    lows = [0.0, 0.0, 0.0]  # indexed by q0
-    prev = [0, 1]
-    for n, row in iter_srec_rows(n_max, k_max=2 * n_max - 1):
+    lows = [0.0] * 4  # ln of each run's least family bound, by q0; 1 at q0 = 3
+    a_min, a_max = math.inf, 0.0
+    for m, d in _normalized_rows(n_max - 1):
+        n = m + 1
+        if m >= 3:  # r + 1 = 1..m, and r + 1 + q0 = n + 1..2n - 1
+            least = min(map(add, d[1:n], map(mul, repeat(m), d[n + 1:2 * n])))
+            lows.append(math.lgamma(m) + math.log(least))
+        if n >= 6:
+            a_min, a_max = min(a_min, d[n]), max(a_max, d[n])
         if n >= n_min:
-            yield n, row, _srec_cut(n, row, lows)
-        if 2 <= n < n_max:
-            lows.append(big_ln(_run_minimum(n + 1, prev, row)))
-        prev = row[:n + 2]
+            yield _srec_cut(n, lows, a_min, a_max) if n >= 6 else srec_max(n)
 
 
 def _rec_bounds(n: int) -> tuple[float, float]:
@@ -441,18 +474,18 @@ def _rec_cut(n: int) -> int:
     return 1 if max(_rec_bounds(n)) < floor else n
 
 
-def _rec_rows(n_min: int, n_max: int) -> Iterator[tuple[int, tuple[int, int], int]]:
-    """(n, (0, (n-1)!), its ``_rec_cut``) for n in [n_min, n_max]: the row up to k = 1."""
-    factorial = math.factorial(n_min - 1)
-    for n in range(n_min, n_max + 1):
-        yield n, (0, factorial), _rec_cut(n)
-        factorial *= n
-
-
 def _reports(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """``tau_series`` without its argument checks."""
-    rows = _rec_rows(n_min, n_max) if stat == REC else _srec_rows(n_min, n_max)
-    return [_sup_from_row(n, stat, row, cut) for n, row, cut in rows]
+    ns = range(n_min, n_max + 1)
+    cuts = map(_rec_cut, ns) if stat == REC else _srec_cuts(n_min, n_max)
+    f = math.factorial(n_min - 1)  # (n-1)!, the row's first entry
+    reports = []
+    for n, cut in zip(ns, cuts):
+        # the row up to its cut: c(n, 1), or C(n, k) = (n-1)! a_{k-1} for k <= min(5, n + 1)
+        row = (0, f) if stat == REC else (0, f, 0, f, f // 2, f // 3)[:n + 2]
+        reports.append(_sup_from_row(n, stat, row, cut))
+        f *= n
+    return reports
 
 
 def sup_deviation(n: int, stat: str) -> DeviationReport:
@@ -465,15 +498,17 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
     and largest values, are skipped (see the module docstring).  A value
     below 1 raises ValueError, checked per block before any block is
     skipped.  The scan reads the count row of (n, stat) only up to the
-    cut of the bounds on its counts: for srec the run bounds, k = n for
-    every n from 6 to 1200, read from one sweep of rows kept to
-    k <= 2n - 1; for rec the closed-form bounds, k = 1 for every n from
-    2 to 10^6 checked, so it reads (n-1)! alone and builds no row.  A
-    cut past that prefix builds the whole row.  On the row the scan
-    allocates O(sqrt(len)) memory.  The entries past the cut sit on
-    segments that deviate by strictly less than the end segments do, so
-    they cannot hold the sup and the report is the full row's (module
-    docstring).  ``tau_series`` scans a range of n.
+    cut of the bounds on its counts, and both cuts leave only entries
+    read off (n-1)!: for srec the prefix and run bounds,
+    read from one float sweep of normalized rows kept to k <= 2n - 1,
+    cut at k = 5 for every n from 6 to 1200, so it reads (n-1)!,
+    (n-1)!/2 and (n-1)!/3; for rec the closed-form bounds cut at k = 1
+    for every n from 2 to 10^6 checked, so it reads (n-1)! alone.
+    Neither builds a count row; a cut past that prefix builds the whole
+    row, on which the scan allocates O(sqrt(len)) memory.  The entries
+    past the cut sit on segments that deviate by strictly less than the
+    sup, so the report is the full row's (module docstring).
+    ``tau_series`` scans a range of n.
 
     >>> r = sup_deviation(2, "rec")
     >>> (r.sup_dev, r.argmax_x)
@@ -488,13 +523,12 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
 def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """DeviationReport for every n in [n_min, n_max], ascending.
 
-    One pass over n yields each row with its cut, as ``sup_deviation``
-    says, and each n reads its row only up to its own cut.  For srec
-    the rows come from one sweep, kept to k <= 2 n_max - 1, in one list
-    updated in place; each row gives a run minimum for the cuts of the
-    rows after it, and is scanned before the next one overwrites it, so
-    one row is alive at a time.  For rec each n reads only (n-1)!, a
-    running product, beside the closed-form ``_rec_cut``.
+    One pass over n holds (n-1)!, a running product, and reads each
+    n's cut, as ``sup_deviation`` says; each n reads its row only up to
+    that cut.  For srec the cuts come from one sweep of normalized
+    rows, kept to k <= 2 n_max - 1 in one float list updated in place;
+    row n - 1 completes the bounds of n.  For rec each cut is the
+    closed-form ``_rec_cut``.
     """
     _check_stat(stat)
     if not 2 <= n_min <= n_max:

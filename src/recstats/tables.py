@@ -131,31 +131,24 @@ def iter_rec_rows(n_max: int) -> Iterator[tuple[int, list[int]]]:
         yield n, row
 
 
-def iter_srec_rows(n_max: int, k_max: int | None = None) -> Iterator[tuple[int, list[int]]]:
+def iter_srec_rows(n_max: int) -> Iterator[tuple[int, list[int]]]:
     """Yield (n, dense SREC row indexed 0..n(n+1)/2) for n = 1..n_max.
 
     Every step yields the same list, updated in place to the next row,
     so one row is alive at a time; copy a row to keep it past the next
-    ``next()``.  With ``k_max`` (at least 1), each row holds only its
-    entries k <= k_max, or all of them once n(n+1)/2 <= k_max.  The
-    recurrence reads only lower indices, so that prefix is exact.
+    ``next()``.
     """
     _check_n(n_max)
-    if k_max is None:
-        k_max = srec_max(n_max)
-    elif k_max < 1:
-        raise ValueError("k_max must be >= 1")
     row = [0, 1]
     yield 1, row
     for n in range(2, n_max + 1):
         m = n - 1
-        size = min(len(row) + n, k_max + 1)
-        row.extend([0] * (size - len(row)))
+        row.extend([0] * n)
         # C(n, k) = (n-1) C(n-1, k) + C(n-1, k-n), swept downward over k;
         # the second term is zero for k <= n (and row[k - n] would wrap there)
-        for k in range(size - 1, n, -1):
+        for k in range(len(row) - 1, n, -1):
             row[k] = m * row[k] + row[k - n]
-        for k in range(min(n, size - 1), 0, -1):
+        for k in range(n, 0, -1):
             row[k] *= m
         yield n, row
 

@@ -11,7 +11,6 @@ from recstats.extremal import (
     i0_closed,
     min_product,
     srec_count_bounds,
-    srec_count_lower,
 )
 from recstats.oracles import i0_greedy, min_product_brute_force
 from recstats.tables import big_ln, srec_max, srec_table
@@ -325,49 +324,6 @@ class TestCountBounds:
                 lo, hi = srec_count_bounds(n, k)
                 actual = big_ln(row.coeffs[k])
                 assert lo - 1e-9 <= actual <= hi + 1e-9
-
-
-class TestCountLower:
-    """The sharp lower end C(n, k) > Gamma(n-i0)/n^2 (k > n), (n-1)!/(k-1) (k <= n)."""
-
-    @staticmethod
-    def feasible(n):
-        top = srec_max(n)
-        return [k for k in range(3, top + 1) if k != top - 1]
-
-    def test_strict_everywhere_small(self, srec_rows_150):
-        for n in range(3, 61):
-            row = srec_rows_150[n]
-            for k in self.feasible(n):
-                assert srec_count_lower(n, k) < big_ln(row[k]), (n, k)
-
-    def test_strict_sampled_n150(self, srec_rows_150):
-        n, row = 150, srec_rows_150[150]
-        ks = self.feasible(n)
-        for k in {*ks[::97], 3, n, n + 1, 2 * n - 1, ks[-2], ks[-1]}:
-            assert srec_count_lower(n, k) < big_ln(row[k]), k
-
-    def test_formula_with_greedy_i0(self):
-        for n in range(4, 41):
-            for k in self.feasible(n):
-                if k <= n:
-                    want = math.lgamma(n) - math.log(k - 1)
-                else:
-                    want = math.lgamma(n - i0_greedy(n, k)) - 2 * math.log(n)
-                assert srec_count_lower(n, k) == pytest.approx(want, abs=1e-12), (n, k)
-
-    def test_sharper_than_the_paper_above_n(self):
-        # the same end for k <= n; above n, e^n / n times the paper's
-        for n in (4, 30, 300):
-            for k in (3, n, n + 1, 2 * n - 1, srec_max(n)):
-                gain = srec_count_lower(n, k) - srec_count_bounds(n, k)[0]
-                want = 0.0 if k <= n else n - math.log(n)
-                assert gain == pytest.approx(want, abs=1e-9), (n, k)
-
-    def test_domain(self):
-        for n, k in ((2, 3), (12, 2), (12, srec_max(12) - 1), (12, srec_max(12) + 1)):
-            with pytest.raises(ValueError):
-                srec_count_lower(n, k)
 
 
 def test_witness_serialization():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -25,7 +26,7 @@ from recstats.scaling import (
     tau_series,
 )
 from recstats import tables
-from recstats.tables import REC, SREC, big_ln, iter_srec_rows, rec_table, srec_max, srec_table
+from recstats.tables import REC, SREC, big_ln, rec_table, srec_max, srec_table
 
 
 def full_scan_sup(n: int, stat: str, row) -> DeviationReport:
@@ -320,13 +321,26 @@ class TestPrunedScanMatchesFullScan:
         assert peak < 0.05 * row_bytes, f"scan peaked at {peak / row_bytes:.1%} of the row"
 
 
+def spy(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of scaling's ``name``, which still runs."""
+    calls = []
+    real = getattr(scaling, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scaling, name, wrapper)
+    return calls
+
+
 def end_floor(n: int) -> float:
-    """The deviation of the srec end segments, (n-1)! on [0, 3/top] and 1 on [1 - 1/top, 1], less the slack."""
-    top = srec_max(n)
-    y = big_ln(math.factorial(n - 1)) / (n * math.log(n))
-    ends = (abs(y - target_value(SREC, 0.0)), abs(y - target_value(SREC, 3 / top)),
-            target_value(SREC, (top - 1) / top), target_value(SREC, 1.0))
-    return max(ends) - scaling._BOUND_SLACK
+    """The largest deviation of the srec end segments and of segments 3..5 (n >= 6), less the slack, from exact ints."""
+    top, f = srec_max(n), math.factorial(n - 1)
+    n_ln_n = n * math.log(n)
+    segments = ((0, 3, f), (3, 4, f), (4, 5, f // 2), (5, 6, f // 3), (top - 1, top, 1))
+    return max(abs(big_ln(value) / n_ln_n - target_value(SREC, x / top))
+               for lo, hi, value in segments for x in (lo, hi)) - scaling._BOUND_SLACK
 
 
 def count(rows, m: int, j: int) -> int:
@@ -365,34 +379,89 @@ def run_bound(n: int, q0: int, low: int) -> float:
     return max(upper_run_bound(n, q0), lower)
 
 
-def run_minima(q_max: int) -> list[int]:
-    """The ``_run_minimum`` of q0 = 3, ..., q_max, from one sweep of row prefixes as the scan reads them."""
-    prev, minima = [0, 1], []
-    for m, row in iter_srec_rows(q_max - 1, k_max=2 * q_max - 1):
-        if m >= 2:
-            minima.append(scaling._run_minimum(m + 1, prev, row))
-        prev = row[:m + 2]
-    return minima
+N_EXACT = 300
 
 
-def srec_cuts(n_min: int, n_max: int) -> dict[int, int]:
-    """The cut of each n in [n_min, n_max], as the series sweep yields it."""
-    return {n: cut for n, _, cut in scaling._srec_rows(n_min, n_max)}
+@functools.cache
+def exact_certificate() -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """(least family bound of each run q0 = 3..300, (min, max) of C(n, 6..n) for n = 6..300), in exact ints.
+
+    The rows are kept to k <= 599, every entry the runs read; the
+    recurrence reads only lower indices, so each prefix is exact.
+    """
+    minima, prefixes, rows = {}, {}, {1: [0, 1]}
+    for m in range(2, N_EXACT + 1):
+        old = rows[m - 1] + [0] * m
+        rows[m] = [(m - 1) * old[k] + (old[k - m] if k > m else 0)
+                   for k in range(min(len(old), 2 * N_EXACT))]
+        if m >= 6:
+            prefixes[m] = (min(rows[m][6:m + 1]), max(rows[m][6:m + 1]))
+        q0 = m + 1  # the run whose families read rows m - 1 and m
+        if q0 <= N_EXACT:
+            minima[q0] = min(family_bound(rows, q0, r) for r in range(q0 - 1 if q0 > 3 else 1))
+        rows.pop(m - 2, None)
+    return minima, prefixes
 
 
-def expected_cut(n: int, bounds) -> int:
-    """The cut for the run bounds of q0 = 3, 4, ..., n: the first run from the top that reaches the floor."""
-    floor = end_floor(n)
-    for q0, bound in enumerate(bounds, start=3):
-        if bound >= floor:
-            return srec_max(n) if q0 == 3 else run_span(n, q0)[0] + q0 - 2
-    return n
+def prefix_bound(n: int) -> float:
+    """Largest deviation that C(n, 6..n) in exact ints allow on segments 6..n, read at the range's two ends."""
+    low, high = exact_certificate()[1][n]
+    n_ln_n, top = n * math.log(n), srec_max(n)
+    return max(big_ln(high) / n_ln_n - target_value(SREC, (n + 1) / top),
+               target_value(SREC, 6 / top) - big_ln(low) / n_ln_n)
+
+
+def exact_bounds(n: int) -> list[float]:
+    """The prefix bound and every run bound of n, from exact ints."""
+    minima = exact_certificate()[0]
+    return [prefix_bound(n), *(run_bound(n, q0, minima[q0]) for q0 in range(3, n + 1))]
+
+
+def swept_lows(monkeypatch, n_max: int) -> list[float]:
+    """The logs of the run minima, by q0 <= n_max, that the sweep hands to ``_srec_cut``."""
+    calls = spy(monkeypatch, "_srec_cut")
+    list(scaling._srec_cuts(n_max, n_max))
+    return calls[-1][1]
 
 
 class TestSrecCut:
-    """Srec rows built only up to the cut that the run bounds leave open."""
+    """Srec rows read only to k = 5, certified by bounds read from (n-1)! and one float sweep."""
 
-    CUT_NS = [*range(3, 61), 100, 150, 151, 200, 295, 300]
+    CUT_NS = [*range(6, 61), 100, 150, 151, 200, 295, 300]
+
+    def test_prefix_identity(self, srec_rows_150):
+        # C(n, k) (N-1)! = C(N, k) (n-1)! for k <= n + 1 <= N + 1; each row
+        # against N = 150 gives every pair
+        big, f_big = srec_rows_150[150], math.factorial(149)
+        for n in range(1, 151):
+            f = math.factorial(n - 1)
+            for k in range(n + 2):
+                assert count(srec_rows_150, n, k) * f_big == big[k] * f, (n, k)
+        assert [Fraction(big[k], f_big) for k in range(6)] == [0, 1, 0, 1, Fraction(1, 2), Fraction(1, 3)]
+
+    def test_band_formula(self, srec_rows_150):
+        # for n + 1 < k <= 2n + 1, S holds exactly one element s > n:
+        # C(n, k)/(n-1)! = a_{k-1} - sum over s in [n+1, k-1] of a_{k-1-s}/(s-1)
+        big, f_big = srec_rows_150[150], math.factorial(149)
+        a = [Fraction(big[j + 1], f_big) for j in range(150)]
+        checked = 0
+        for n in range(1, 75):
+            for k in range(n + 2, 2 * n + 2):
+                band = a[k - 1] - sum(a[k - 1 - s] / (s - 1) for s in range(n + 1, k))
+                assert Fraction(count(srec_rows_150, n, k), math.factorial(n - 1)) == band, (n, k)
+                checked += 1
+        assert checked == 2775
+
+    def test_float_sweep_within_its_error(self, srec_rows_150):
+        # |D - C(m, k)/(m-1)!| <= 3m 2^-53 C(m, k)/(m-1)!, in ints on the
+        # exact binary value p/q of each float
+        for m, d in scaling._normalized_rows(150):
+            f = math.factorial(m - 1)
+            assert len(d) == 302
+            for k, value in enumerate(d):
+                exact = count(srec_rows_150, m, k)
+                p, q = value.as_integer_ratio()
+                assert abs(p * f - exact * q) << 53 <= 3 * m * exact * q, (m, k)
 
     def test_family_bound_is_sound_for_every_k_small(self, srec_rows_150):
         for n in range(3, 61):
@@ -406,7 +475,7 @@ class TestSrecCut:
             for k in range(n + 1, srec_max(n) + 1):
                 assert family_bound(srec_rows_150, *run_of(n, k)) <= row[k], (n, k)
 
-    def test_run_minima_match_per_k_minima(self, srec_rows_150):
+    def test_run_minima_match_per_k_minima(self, monkeypatch, srec_rows_150):
         # the per-k bounds of the middle segments of n = 151, whose runs
         # have every q0 in [3, 151]; C(151, k) itself is never read
         n = 151
@@ -415,53 +484,71 @@ class TestSrecCut:
             q0, r = run_of(n, k)
             bound = family_bound(srec_rows_150, q0, r)
             per_run[q0] = min(per_run.get(q0, bound), bound)
-        rows = {1: [0, 1], **srec_rows_150}
-        minima = [scaling._run_minimum(q0, rows[q0 - 2], rows[q0 - 1]) for q0 in range(3, 152)]
-        assert minima == [per_run[q0] for q0 in range(3, 152)]
-        assert run_minima(151) == minima
+        minima = exact_certificate()[0]
+        assert [minima[q0] for q0 in range(3, 152)] == [per_run[q0] for q0 in range(3, 152)]
+        lows = swept_lows(monkeypatch, N_EXACT)
+        assert len(lows) == N_EXACT + 1
+        for q0 in range(3, N_EXACT + 1):
+            assert lows[q0] == pytest.approx(big_ln(minima[q0]), rel=0, abs=1e-11), q0
 
-    def test_run_minima_dominate_the_single_set_bound(self):
+    def test_run_minima_dominate_the_single_set_bound(self, monkeypatch):
         # lows[q0] >= Gamma(q0)/n^2 for every n >= q0, the weakest at n = q0,
-        # so the one-set end of ``srec_count_lower`` would never cut further
-        for q0, low in enumerate(run_minima(300), start=3):
-            assert big_ln(low) > math.lgamma(q0) - 2 * math.log(q0), q0
+        # so the one-set bound of extremal's docstring would never cut further
+        for q0, low in enumerate(swept_lows(monkeypatch, N_EXACT)[3:], start=3):
+            assert low > math.lgamma(q0) - 2 * math.log(q0), q0
 
     def test_both_sides_of_the_rule_run(self):
-        cuts = srec_cuts(2, 300)
-        assert cuts[5] == 9  # the run of q0 = 5 (k = 6..9) reaches the floor
-        assert all(cuts[n] == n for n in range(2, 301) if n != 5)
-        assert srec_cuts(300, 300) == {300: 300}
+        cuts = list(scaling._srec_cuts(2, 1200))
+        assert cuts[:4] == [srec_max(n) for n in range(2, 6)]  # whole rows
+        assert cuts[4:] == [5] * 1195
+        assert list(scaling._srec_cuts(300, 300)) == [5]
 
     @pytest.mark.parametrize("slack", [scaling._BOUND_SLACK, 0.02, 0.05, 0.1])
     def test_cut_ends_at_the_first_run_that_reaches_the_floor(self, monkeypatch, slack):
-        # each run bound recomputed from extremal's upper end and the exact
-        # minima; a wider slack lowers the floor and raises the cut
+        # each bound recomputed from extremal's upper end and the exact
+        # prefix and minima; a wider slack lowers the floor, and any bound
+        # that reaches it sends the scan to the whole row
         monkeypatch.setattr(scaling, "_BOUND_SLACK", slack)
-        lows = [0, 0, 0, *run_minima(300)]
-        cuts = srec_cuts(3, 300)
+        cuts = dict(zip(range(6, N_EXACT + 1), scaling._srec_cuts(6, N_EXACT)))
         for n in self.CUT_NS:
-            bounds = [run_bound(n, q0, lows[q0]) for q0 in range(3, n + 1)]
-            assert cuts[n] == expected_cut(n, bounds), (n, slack)
+            expected = 5 if max(exact_bounds(n)) < end_floor(n) else srec_max(n)
+            assert cuts[n] == expected, (n, slack)
+        if slack > 0.01:
+            assert any(cut > 5 for cut in cuts.values())
+
+    def test_prefix_alone_sets_the_cut(self, monkeypatch):
+        # from n = 9 on the prefix bound is the highest of all; a floor just
+        # below it, and above every run bound, must send the scan to the whole row
+        for n in self.CUT_NS[3:]:
+            prefix, *runs = exact_bounds(n)
+            assert prefix > max(runs) + 1e-6, n
+            ends = end_floor(n) + scaling._BOUND_SLACK
+            for gap, cut in ((-1e-10, srec_max(n)), (1e-10, 5)):
+                monkeypatch.setattr(scaling, "_BOUND_SLACK", ends - (prefix + gap))
+                assert list(scaling._srec_cuts(n, n)) == [cut], (n, gap)
 
     def test_upper_end_alone_sets_the_cut(self, monkeypatch):
         # the upper end decides no run for n <= 600 (it stays 0.05 below the
-        # floor).  Here minima of n^(4n) switch the lower end off, and a floor
-        # just below each sampled run's upper bound lets that run, or one above
-        # it, end the cut
+        # floor).  Here minima of n^(4n) switch the run's lower end off, and
+        # a's that put segments 6..n halfway between T(6/top) and
+        # T((n+1)/top) leave the prefix bound at about 1/(2n): a floor just
+        # below the highest upper bound cuts at the top, one just above at 5
         for n in (10, 50, 150, 300):
-            monkeypatch.setattr(scaling, "_run_minimum", lambda q0, prev, row, low=n ** (4 * n): low)
+            top, n_ln_n = srec_max(n), n * math.log(n)
+            middle = (target_value(SREC, 6 / top) + target_value(SREC, (n + 1) / top)) / 2
+            a = math.exp(middle * n_ln_n - math.lgamma(n))
+            lows = [4 * n_ln_n] * (n + 1)
+            peak = max(upper_run_bound(n, q0) for q0 in range(3, n + 1))
             ends = end_floor(n) + scaling._BOUND_SLACK
-            uppers = [upper_run_bound(n, q0) for q0 in range(3, n + 1)]
-            for level in uppers[::max(1, n // 20)]:
-                monkeypatch.setattr(scaling, "_BOUND_SLACK", ends - (level - 1e-12))
-                assert srec_cuts(n, n) == {n: expected_cut(n, uppers)}, (n, level)
+            for gap, cut in ((-1e-10, top), (1e-10, 5)):
+                monkeypatch.setattr(scaling, "_BOUND_SLACK", ends - (peak + gap))
+                assert scaling._srec_cut(n, lows, a, a) == cut, (n, gap)
 
     def test_skipped_segments_deviate_less_on_real_rows(self, srec_rows_150):
-        cuts = srec_cuts(3, 150)
-        for n in range(3, 151):
+        for n in range(6, 151):
             row, top = srec_rows_150[n], srec_max(n)
             floor = end_floor(n)
-            for k in range(cuts[n] + 1, top - 1):
+            for k in range(6, top - 1):
                 y = big_ln(row[k]) / (n * math.log(n))
                 for x in (k / top, (k + 1) / top):
                     assert abs(y - target_value(SREC, x)) < floor, (n, k)
@@ -471,6 +558,15 @@ class TestSrecCut:
         assert tau_series(SREC, 2, 150) == full
         for n in (2, 3, 5, 6, 23, 24, 108, 150):
             assert sup_deviation(n, SREC) == full[n - 2]
+
+    def test_certificates_build_no_row(self, monkeypatch):
+        def no_row(*args):
+            raise AssertionError("a certified srec sup built a row")
+
+        monkeypatch.setattr(tables, "iter_srec_rows", no_row)
+        monkeypatch.setattr(scaling, "srec_table", no_row)
+        tau_series(SREC, 6, 300)
+        sup_deviation(1200, SREC)
 
 
 def rec_end_floor(n: int) -> float:
@@ -554,24 +650,11 @@ class TestRecCut:
         sup_deviation(1000, REC)
 
 
-def spy(monkeypatch, name: str) -> list:
-    """Record the arguments of every call of scaling's ``name``, which still runs."""
-    calls = []
-    real = getattr(scaling, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scaling, name, wrapper)
-    return calls
-
-
 class TestOneSweep:
     """One sweep per certificate, and the whole row only for a cut past the row in hand."""
 
     def test_srec_rows_are_swept_once(self, monkeypatch):
-        sweeps = spy(monkeypatch, "iter_srec_rows")
+        sweeps = spy(monkeypatch, "_normalized_rows")
         tau_series(SREC, 2, 60)
         assert len(sweeps) == 1
         sup_deviation(400, SREC)
@@ -580,7 +663,7 @@ class TestOneSweep:
     @pytest.mark.parametrize("slack", [0.02, 0.05, 0.1])
     def test_srec_cut_past_the_prefix_reads_the_whole_row(self, monkeypatch, srec_rows_150, slack):
         # slacks of test_cut_ends_at_the_first_run_that_reaches_the_floor:
-        # the cuts of many n pass k = 2 n_max - 1, the end of the rows swept
+        # the cuts of many n pass k = 5, the end of the row in hand
         monkeypatch.setattr(scaling, "_BOUND_SLACK", slack)
         whole = spy(monkeypatch, "_row")
         full = [full_scan_sup(n, SREC, srec_rows_150[n]) for n in range(2, 61)]
@@ -616,8 +699,8 @@ class TestTauSeries:
 
     def test_streaming_matches_per_n(self):
         assert tau_series(SREC, 2, 25) == [sup_deviation(n, SREC) for n in range(2, 26)]
-        # the series sweeps its rows to k <= 2 n_max - 1, each sup_deviation
-        # to k <= 2 n - 1
+        # the series sweeps its normalized rows to k <= 2 n_max - 1, each
+        # sup_deviation to k <= 2 n - 1
         assert tau_series(SREC, 290, 300) == [sup_deviation(n, SREC) for n in range(290, 301)]
 
     def test_guards(self):

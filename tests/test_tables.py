@@ -132,20 +132,6 @@ class TestRowIterators:
                 assert tuple(row) == brute_force_tables(n)[pick].coeffs
             assert sum(row) == math.factorial(n)
 
-    def test_srec_prefixes(self, srec_rows_150):
-        # k_max stops each row after k_max; rows shorter than that stay whole
-        for n in range(1, 31):
-            top = srec_max(n)
-            for k_max in {1, 3, n, n + 1, top - 1, top, top + 5} - {0}:
-                generator = iter_srec_rows(n, k_max=k_max)
-                for j, row in generator:
-                    assert row == srec_rows_150[j][: k_max + 1], (n, k_max, j)
-                assert j == n
-
-    def test_srec_prefix_needs_k_max_of_one(self):
-        with pytest.raises(ValueError, match="k_max"):
-            next(iter_srec_rows(5, k_max=0))
-
     @pytest.mark.parametrize("build,n", [(srec_table, 120), (rec_table, 600)])
     def test_peak_memory_is_about_one_row(self, build, n):
         # building the next row beside the previous one peaked at about
