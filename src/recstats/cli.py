@@ -9,12 +9,13 @@ error, 1 on a verification failure or I/O problem.  Building the parser
 loads no layer but ``tables`` (see the package docstring); each handler
 loads the layers it calls.
 
-The table exports stream: rows go out a block at a time as they are
-formatted, so peak memory is about one count row plus its tuple of
-pointers, not the whole document.  Stdout is therefore written
-progressively, and a failure mid-run can leave part of a table there;
-only ``--output`` is atomic.  A reader that closes the pipe early (say
-``| head``) ends the run with one ``error:`` line and exit 1.
+The table exports and ``sample`` stream: rows and draws go out a block
+at a time as they are formatted, so peak memory is about one count row
+plus its tuple of pointers, or one block of draws, not the whole
+document.  Stdout is therefore written progressively, and a failure
+mid-run can leave part of the document there; only ``--output`` is
+atomic.  A reader that closes the pipe early (say ``| head``) ends the
+run with one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -120,8 +121,13 @@ def _cmd_records(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    permutations = perm.sample_uniform_many(args.n, args.seed, args.count)
-    _write(("".join(f"{p}\n" for p in permutations),), args.output)
+    draws = perm.iter_uniform(args.n, args.seed, args.count)
+    # one write per EXPORT_BLOCK draws, as the table exports: few writes,
+    # and only one block of draws and its text alive at a time
+    blocks = iter(
+        lambda: "".join(f"{p}\n" for p in itertools.islice(draws, tables.EXPORT_BLOCK)), ""
+    )
+    _write(blocks, args.output)
     return 0
 
 

@@ -23,32 +23,27 @@ so each segment attains its extreme deviation at an endpoint (the right
 endpoint as a one-sided limit).  tau(n) = sup deviation * ln n is the
 bounded series certifying the uniform convergence rate.
 
-Most segments cannot hold the sup, and a cheap bound skips them.  The
-deviations of the first and last segments give a lower bound ``best``
-on the sup.  The middle segments are cut into blocks of about sqrt(len)
-segments, and each block of the row is sliced and bounded in one pass.
-A value v of bit length b has (b - 1) ln 2 <= ln v < b ln 2, and bit
-length never decreases as a positive int grows, so the bit lengths of
-the block's smallest and largest values bracket every y = ln v / (n ln n)
-in it between y_min and y_max.  A smallest value below 1 raises
-big_ln's ValueError right there, before the block can be skipped (bit
-lengths ignore sign).  Since the target T decreases, no endpoint in the
-block deviates by more than max(y_max - T(x_end), T(x_start) - y_min).
-A block is evaluated endpoint by endpoint only when that bound reaches
-best - 1e-9.  The bound's terms carry a few ulps of rounding, and the
-slack covers it many times over while they stay below 1e4; for count
-rows, whose values are at most n!, they are at most 1.  A skipped
-segment therefore deviates by strictly less than the sup, and the
-report (sup, argmax, first maximum on ties) is the one the full scan
-gives.  On top of the row, the scan holds one block's slice and the
-segments of the kept blocks: O(sqrt(len)) memory when few blocks are
-kept, as in count rows.
+The scan is one loop: both endpoints of every segment, in order, the
+first maximum kept, so its report (sup, argmax, first maximum on ties)
+is the full scan's by construction.  It holds one segment at a time on
+top of the row, and a value below 1 raises big_ln's ValueError.  What
+it reads is set by the row it is given: for both statistics a
+certificate (below) cuts the row at a small k, the middle segments past
+the cut are never read, and the last segment takes row[top] = 1.
 
-For srec the same threshold, best - 1e-9, leaves the scan no more than
-the row's first entries to read.  Position j of a uniform permutation
-is a record with probability 1/j, independently of the others, so the
-permutations whose records sit exactly at {1} + S number
-prod(j - 1 for j in U), U = {2, ..., n} - S, and
+For srec a certificate leaves the scan no more than the row's first
+entries to read.  It bounds the deviation of every segment past the cut
+and compares each bound with a floor: the largest deviation of the
+segments the scan reads anyway, less the slack ``_BOUND_SLACK`` = 1e-9.
+A bound's terms carry a few ulps of rounding, and the slack covers it
+many times over while they stay below 1e4; for count rows, whose values
+are at most n!, they are at most 1.  A segment bounded below the floor
+therefore deviates by strictly less than the sup.
+
+Position j of a uniform permutation is a record with probability 1/j,
+independently of the others, so the permutations whose records sit
+exactly at {1} + S number prod(j - 1 for j in U), U = {2, ..., n} - S,
+and
 
     C(n, k) = (n-1)! * sum of 1/prod(s - 1 for s in S) over S in {2, ..., n}, sum(S) = k - 1.
 
@@ -116,7 +111,7 @@ each of their segments deviates by strictly less than the sup, the
 slack covering the bounds' rounding as above, so the report is the one
 the full row gives.
 
-For rec the same threshold needs no row beyond k = 1.  Expanding
+For rec the same kind of floor needs no row beyond k = 1.  Expanding
 q(q+1)...(q+n-1) gives c(n, k) = e_{n-k}(1, 2, ..., n-1), the
 elementary symmetric sum of degree n - k.  Its term k(k+1)...(n-1), of
 the n - k largest factors, gives c(n, k) >= (n-1)!/(k-1)!.  Each term of
@@ -296,52 +291,27 @@ def phin_value(n: int, x: float) -> int:
     return _step_value(n, SREC, x)
 
 
-def _segment_plan(
+def _segments(
     n: int, stat: str, row: Sequence[int], k_max: int | None = None
-) -> tuple[tuple[float, float, int], int, range, tuple[float, float, int]]:
-    """(first segment, top, middle k range, last segment) of the step curve, on ``_cuts``.
+) -> Iterator[tuple[float, float, int]]:
+    """Constant segments (x_lo, x_hi, value) covering [0, 1], in order, on ``_cuts``.
 
-    Middle segment k is (k/top, (k+1)/top, row[k]); the first and last
-    segments are the end branches row[1] and row[top].  A ``k_max`` below
-    top (a cut of ``_rec_cut`` or ``_srec_cut``) ends the middle range
-    at k_max; ``row`` then need only reach k_max, and the last segment
-    takes row[top] = 1 (c(n, n) = C(n, top) = 1).
+    ``row`` is the dense coefficient row, indexed by k.  Middle segment k
+    is (k/top, (k+1)/top, row[k]); the first and last segments are the
+    end branches row[1] and row[top].  A ``k_max`` below top (a cut of
+    ``_rec_cut`` or ``_srec_cut``) ends the middle segments at k_max;
+    ``row`` then need only reach k_max, and the last segment takes
+    row[top] = 1 (c(n, n) = C(n, top) = 1).
     """
     top, a, b = _cuts(n, stat)
     if k_max is None or k_max >= top:
         stop, last = b, row[top]
     else:
         stop, last = min(b, k_max + 1), 1
-    return (0.0, a / top, row[1]), top, range(a, stop), (max(a, b) / top, 1.0, last)
-
-
-def _segments(n: int, stat: str, row: Sequence[int]) -> list[tuple[float, float, int]]:
-    """Constant segments (x_lo, x_hi, value) covering [0, 1], in order.
-
-    ``row`` is the dense coefficient row, indexed by k.
-    """
-    first, top, middle, last = _segment_plan(n, stat, row)
-    segs = [first]
-    segs.extend((k / top, (k + 1) / top, row[k]) for k in middle)
-    segs.append(last)
-    return segs
-
-
-def _exact_scan(
-    target: Callable[[float], float], n_ln_n: float,
-    segments: Iterable[tuple[float, float, int]],
-) -> tuple[float, float]:
-    """(largest endpoint deviation, its first x) over the given segments, in order."""
-    best_dev = -1.0
-    best_x = 0.0
-    for x_lo, x_hi, value in segments:
-        y = big_ln(value) / n_ln_n
-        for x in (x_lo, x_hi):
-            dev = abs(y - target(x))
-            if dev > best_dev:
-                best_dev = dev
-                best_x = x
-    return best_dev, best_x
+    yield 0.0, a / top, row[1]
+    for k in range(a, stop):
+        yield k / top, (k + 1) / top, row[k]
+    yield max(a, b) / top, 1.0, last
 
 
 def _sup_from_row(
@@ -351,26 +321,15 @@ def _sup_from_row(
         row = _row(n, stat)
     target = _target(stat)
     n_ln_n = n * math.log(n)
-    first, top, middle, last = _segment_plan(n, stat, row, k_max)
-    # the end segments' largest deviation less the slack; a block bounded below it is skipped
-    floor = _exact_scan(target, n_ln_n, (first, last))[0] - _BOUND_SLACK
-    size = math.isqrt(len(middle)) + 1
-    segments = [first]
-    for k_lo in range(middle.start, middle.stop, size):
-        k_hi = min(k_lo + size, middle.stop)
-        block = row[k_lo:k_hi]
-        low, high = min(block), max(block)
-        # big_ln's error, raised before the bound so that no skipped block hides it
-        if low < 1:
-            raise ValueError("value must be a positive integer")
-        bound = max(
-            high.bit_length() * _LN2 / n_ln_n - target(k_hi / top),
-            target(k_lo / top) - (low.bit_length() - 1) * _LN2 / n_ln_n,
-        )
-        if bound >= floor:
-            segments.extend((k / top, (k + 1) / top, row[k]) for k in range(k_lo, k_hi))
-    segments.append(last)
-    best_dev, best_x = _exact_scan(target, n_ln_n, segments)
+    best_dev = -1.0
+    best_x = 0.0
+    for x_lo, x_hi, value in _segments(n, stat, row, k_max):
+        y = big_ln(value) / n_ln_n
+        for x in (x_lo, x_hi):
+            dev = abs(y - target(x))
+            if dev > best_dev:
+                best_dev = dev
+                best_x = x
     return DeviationReport(n, stat, best_dev, best_dev * math.log(n), best_x)
 
 
@@ -493,21 +452,18 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
 
     The report is the one from evaluating every constant segment at both
     endpoints, the right one standing in for the one-sided limit, so no
-    grid can under-report; blocks of about sqrt(len) segments that
-    provably cannot hold the sup, by the bit lengths of their smallest
-    and largest values, are skipped (see the module docstring).  A value
-    below 1 raises ValueError, checked per block before any block is
-    skipped.  The scan reads the count row of (n, stat) only up to the
-    cut of the bounds on its counts, and both cuts leave only entries
-    read off (n-1)!: for srec the prefix and run bounds,
-    read from one float sweep of normalized rows kept to k <= 2n - 1,
-    cut at k = 5 for every n from 6 to 1200, so it reads (n-1)!,
-    (n-1)!/2 and (n-1)!/3; for rec the closed-form bounds cut at k = 1
-    for every n from 2 to 10^6 checked, so it reads (n-1)! alone.
-    Neither builds a count row; a cut past that prefix builds the whole
-    row, on which the scan allocates O(sqrt(len)) memory.  The entries
-    past the cut sit on segments that deviate by strictly less than the
-    sup, so the report is the full row's (module docstring).
+    grid can under-report; a value below 1 raises ValueError.  The scan
+    reads the count row of (n, stat) only up to the cut of the bounds on
+    its counts, and both cuts leave only entries read off (n-1)!: for
+    srec the prefix and run bounds, read from one float sweep of
+    normalized rows kept to k <= 2n - 1, cut at k = 5 for every n from 6
+    to 1200, so it reads (n-1)!, (n-1)!/2 and (n-1)!/3; for rec the
+    closed-form bounds cut at k = 1 for every n from 2 to 10^6 checked,
+    so it reads (n-1)! alone.  Neither builds a count row; a cut past
+    that prefix builds the whole row, which the scan reads one segment at
+    a time.  The entries past the cut sit on segments that deviate by
+    strictly less than the sup, the slack covering the bounds' rounding,
+    so the report is the full row's (module docstring).
     ``tau_series`` scans a range of n.
 
     >>> r = sup_deviation(2, "rec")

@@ -330,7 +330,7 @@ def check_segment_interiors(rec_rows: Rows, srec_rows: Rows, seed: int) -> None:
     for stat, rows in ((REC, rec_rows), (SREC, srec_rows)):
         for n, row in rows:
             report = scaling._sup_from_row(n, stat, row)
-            segments = scaling._segments(n, stat, row)
+            segments = list(scaling._segments(n, stat, row))
             for _ in range(10):
                 x_lo, x_hi, value = segments[rng.randrange(len(segments))]
                 y = tables.big_ln(value) / (n * math.log(n))

@@ -474,6 +474,18 @@ class TestStreaming:
         assert code == 0
         assert peak - row_bytes[0] < path.stat().st_size
 
+    # n = 4 decodes each code once from count = 24 on, n = 9 never does
+    @pytest.mark.parametrize("n", [4, 9])
+    @pytest.mark.parametrize("count", [1, tables.EXPORT_BLOCK - 1, tables.EXPORT_BLOCK,
+                                       tables.EXPORT_BLOCK + 1, 2 * tables.EXPORT_BLOCK + 1])
+    def test_sample_blocks_join_to_the_whole_draw(self, capsys, tmp_path, n, count):
+        expected = "".join(f"{p}\n" for p in perm.sample_uniform_many(n, 3, count))
+        argv = ["sample", "--n", str(n), "--seed", "3", "--count", str(count)]
+        assert run(capsys, *argv) == (0, expected, "")
+        path = tmp_path / "draws.txt"
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == expected.encode()
+
 
 # SHA-256 of each call's output, recorded before the table exports were
 # streamed; stdout and --output must both give these bytes

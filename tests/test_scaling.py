@@ -160,7 +160,7 @@ class TestSegments:
         for stat in (REC, SREC):
             for n in (2, 3, 7, 12):
                 table = rec_table(n) if stat == REC else srec_table(n)
-                segs = _segments(n, stat, table.coeffs)
+                segs = list(_segments(n, stat, table.coeffs))
                 assert segs[0][0] == 0.0
                 assert segs[-1][1] == 1.0
                 for (_, hi, _), (lo, _, _) in zip(segs, segs[1:]):
@@ -175,7 +175,7 @@ class TestSegments:
         for stat in (REC, SREC):
             for n in range(2, 41):
                 row = (rec_table(n) if stat == REC else srec_table(n)).coeffs
-                segs = _segments(n, stat, row)
+                segs = list(_segments(n, stat, row))
                 for x_lo, x_hi, value in segs:
                     if x_lo < x_hi:
                         mid = (x_lo + x_hi) / 2
@@ -206,7 +206,7 @@ class TestSupDeviation:
         for stat in (REC, SREC):
             for n in (3, 10, 25):
                 table = rec_table(n) if stat == REC else srec_table(n)
-                segs = _segments(n, stat, table.coeffs)
+                segs = list(_segments(n, stat, table.coeffs))
                 report = sup_deviation(n, stat)
                 for _ in range(10):
                     lo, hi, value = segs[rng.randrange(len(segs))]
@@ -221,7 +221,12 @@ class TestSupDeviation:
 
 
 class TestPrunedScanMatchesFullScan:
-    """The block-pruned scan in sup_deviation against the full scan, report for report."""
+    """The scan in sup_deviation against the full-scan oracle, report for report.
+
+    The scan's only pruning is a certificate's cut; without one it reads
+    every segment.  ``full_scan_sup`` stays the reference: its own loop
+    over ``_segments``, through the public ``target_value``.
+    """
 
     def test_rec_rows(self, rec_rows_300):
         for n in range(2, 301):
@@ -258,9 +263,9 @@ class TestPrunedScanMatchesFullScan:
                     assert scan_row(n, stat, row) == full_scan_sup(n, stat, row)
 
     def test_planted_below_target(self):
-        # A power of two 2^m at the first segment of a block (blocks of
-        # isqrt(n - 1) + 1 middle segments from k = 1), far below the
-        # target: the block's lower y bound m ln 2 is attained there.
+        # A power of two 2^m in the middle of the row, far below the
+        # target, its deviation at k/n tied with the last segment's at
+        # x = 1: the scan must keep k/n, the first maximum.
         cases = 0
         for n in range(30, 46):
             n_ln_n = n * math.log(n)
@@ -277,9 +282,10 @@ class TestPrunedScanMatchesFullScan:
         assert cases > 100
 
     def test_planted_above_target(self):
-        # 2^b - 1 at the last segment of a block, far above the target.
-        # For some b its float log is one ulp above the float b * ln 2
-        # that bounds the block, which only the slack makes up for.
+        # 2^b - 1 in the middle of the row, far above the target, its
+        # deviation at (k+1)/n tied with x = 1: the scan must keep
+        # (k+1)/n, the first maximum.  At these b the float log of 2^b - 1
+        # is that of 2^b.
         cases = 0
         for n in range(30, 46):
             n_ln_n = n * math.log(n)
@@ -296,10 +302,9 @@ class TestPrunedScanMatchesFullScan:
         assert cases > 100
 
     def test_zero_in_middle_still_raises(self):
-        # k = 17 sits in a block whose bound is below the first segment's
-        # deviation, so the scan would skip it but for the per-block check
-        # of its smallest value.  Bit lengths ignore sign: -2^40 leaves the
-        # bound, and the skip, as 2^40 would.
+        # k = 17 sits where no segment comes near the first segment's
+        # deviation: the scan reads every value it is given, so each one
+        # below 1, negative ones too, still raises.
         for k, value in ((17, 0), (17, -(2**40)), (17, -1), (2, -(2**40)), (19, -3)):
             row = [0] + [2**40] * 20
             row[k] = value
@@ -307,9 +312,9 @@ class TestPrunedScanMatchesFullScan:
                 scan_row(20, REC, row)
 
     def test_scan_memory_is_small_beside_the_row(self):
-        # The scan slices one block of about sqrt(len) values at a time.
-        # A copy of the middle of the row and a list of its bit lengths
-        # peaked at 0.44 of the row's bytes (CPython 3.11.7).
+        # The scan streams its segments one at a time and builds no list;
+        # a list of the segments peaked at 1.3 times the row's bytes
+        # (CPython 3.11.7).
         table = srec_table(120)
         row_bytes = sys.getsizeof(table.coeffs) + sum(map(sys.getsizeof, table.coeffs))
         tracemalloc.start()
@@ -438,6 +443,18 @@ class TestSrecCut:
             for k in range(n + 2):
                 assert count(srec_rows_150, n, k) * f_big == big[k] * f, (n, k)
         assert [Fraction(big[k], f_big) for k in range(6)] == [0, 1, 0, 1, Fraction(1, 2), Fraction(1, 3)]
+
+    def test_suffix_identity(self, srec_rows_150):
+        # C(n, top - j) = b_j for j <= n, b_j the coefficient of z^j in
+        # prod(1 + (u - 1) z^u for u >= 2): the non-records U = {2..n} - S
+        # sum to top - k, each u weighs u - 1, and no u > n fits in j <= n
+        b = [1] + [0] * 150
+        for u in range(2, 151):
+            for j in range(150, u - 1, -1):
+                b[j] += (u - 1) * b[j - u]
+        for n in range(1, 151):
+            row, top = srec_rows_150[n], srec_max(n)
+            assert [row[top - j] for j in range(n + 1)] == b[:n + 1], n
 
     def test_band_formula(self, srec_rows_150):
         # for n + 1 < k <= 2n + 1, S holds exactly one element s > n:
