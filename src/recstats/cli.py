@@ -3,11 +3,12 @@ Command-line front end.
 
 Every subcommand is deterministic given its flags, writes either to
 stdout or atomically to ``--output`` (temp file plus rename, so a
-failed run leaves no partial file; the file gets the permission bits a
-plain ``open()`` would give it), and exits 0 on success, 2 on a usage
-error, 1 on a verification failure or I/O problem.  Building the parser
-loads no layer but ``tables`` (see the package docstring); each handler
-loads the layers it calls.
+failed run leaves no partial file and its error names the path given;
+the file gets the permission bits a plain ``open()`` would give it, and
+a directory is refused before anything is written), and exits 0 on
+success, 2 on a usage error, 1 on a verification failure or I/O
+problem.  Building the parser loads no layer but ``tables`` (see the
+package docstring); each handler loads the layers it calls.
 
 The table exports and ``sample`` stream: rows and draws go out a block
 at a time as they are formatted, so peak memory is about one count row
@@ -56,26 +57,33 @@ def _write(chunks: Iterable[str], path: str | None) -> None:
         # surface a closed pipe here, inside main, not at interpreter exit
         sys.stdout.flush()
         return
-    import tempfile  # only this path needs it
+    import errno
+    import tempfile  # only this path needs them
 
     # through a symlink, as ``> path`` would: the target gets the bytes and
     # keeps its mode, the link stays a link, and the temp file sits beside
     # the target so that the rename stays on one file system
-    path = os.path.realpath(path)
-    directory = os.path.dirname(path)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".recstats-")
+    target = os.path.realpath(path)
+    tmp_path = None
     try:
-        # mkstemp creates the file 0o600, whatever the umask
-        os.chmod(tmp_path, _open_mode(path))
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".recstats-")
         with os.fdopen(fd, "w") as handle:
+            # mkstemp creates the file 0o600, whatever the umask
+            os.chmod(tmp_path, _open_mode(target))
             for chunk in chunks:
                 handle.write(chunk)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+        os.replace(tmp_path, target)
+    except BaseException as exc:
+        if tmp_path is not None:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # name the path the user gave, never the temp file or the link's target
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

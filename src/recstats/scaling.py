@@ -26,10 +26,13 @@ bounded series certifying the uniform convergence rate.
 The scan is one loop: both endpoints of every segment, in order, the
 first maximum kept, so its report (sup, argmax, first maximum on ties)
 is the full scan's by construction.  It holds one segment at a time on
-top of the row, and a value below 1 raises big_ln's ValueError.  What
-it reads is set by the row it is given: for both statistics a
-certificate (below) cuts the row at a small k, the middle segments past
-the cut are never read, and the last segment takes row[top] = 1.
+top of the row, and a value below 1 raises big_ln's ValueError.  It
+reads the row it is given: a row shorter than top + 1 is a certified
+prefix, and ``_reports`` picks it.  A certificate (below) cuts the row
+at a small k.  When the cut falls among the entries read off (n-1)!,
+``_reports`` hands the scan those entries up to the cut; otherwise it
+builds the whole row.  On a prefix the middle segments end with the
+row, and the last segment takes row[top] = 1.
 
 For srec a certificate leaves the scan no more than the row's first
 entries to read.  It bounds the deviation of every segment past the cut
@@ -103,13 +106,13 @@ and of segments 3..5, (n-1)! on [0, 4/top), (n-1)!/2 and (n-1)!/3 on
 the next two and 1 on [1 - 1/top, 1], with ln((n-1)!) read as
 lgamma(n) as ``_rec_cut`` does, less the slack.  When the prefix bound
 and every run bound lie below it, no segment past k = 5 can hold the
-sup: the cut is 5, and the scan reads the row in hand.  That holds for
-every n from 6 to 1200; the sup sits at x = 0 up to n = 9 and at the
-left end of segment 5, (n-1)!/3, from n = 10 on.  n = 2..5, and any n
-whose bounds reach the floor, read the whole row.  The entries past the cut are never read:
-each of their segments deviates by strictly less than the sup, the
-slack covering the bounds' rounding as above, so the report is the one
-the full row gives.
+sup: the cut is 5, and the scan reads the prefix to k = 5.  That holds
+for every n from 6 to 1200; the sup sits at x = 0 up to n = 9 and at
+the left end of segment 5, (n-1)!/3, from n = 10 on.  n = 2..5, and any
+n whose bounds reach the floor, read the whole row.  The entries past
+the cut are never read: each of their segments deviates by strictly
+less than the sup, the slack covering the bounds' rounding as above, so
+the report is the one the full row gives.
 
 For rec the same kind of floor needs no row beyond k = 1.  Expanding
 q(q+1)...(q+n-1) gives c(n, k) = e_{n-k}(1, 2, ..., n-1), the
@@ -291,39 +294,29 @@ def phin_value(n: int, x: float) -> int:
     return _step_value(n, SREC, x)
 
 
-def _segments(
-    n: int, stat: str, row: Sequence[int], k_max: int | None = None
-) -> Iterator[tuple[float, float, int]]:
+def _segments(n: int, stat: str, row: Sequence[int]) -> Iterator[tuple[float, float, int]]:
     """Constant segments (x_lo, x_hi, value) covering [0, 1], in order, on ``_cuts``.
 
-    ``row`` is the dense coefficient row, indexed by k.  Middle segment k
-    is (k/top, (k+1)/top, row[k]); the first and last segments are the
-    end branches row[1] and row[top].  A ``k_max`` below top (a cut of
-    ``_rec_cut`` or ``_srec_cut``) ends the middle segments at k_max;
-    ``row`` then need only reach k_max, and the last segment takes
+    ``row`` is the coefficient row indexed by k, dense up to its end.
+    Middle segment k is (k/top, (k+1)/top, row[k]); the first and last
+    segments are the end branches row[1] and row[top].  A row shorter
+    than top + 1 is a certified prefix, and ``_reports`` picks it: the
+    middle segments end with the row, and the last segment takes
     row[top] = 1 (c(n, n) = C(n, top) = 1).
     """
     top, a, b = _cuts(n, stat)
-    if k_max is None or k_max >= top:
-        stop, last = b, row[top]
-    else:
-        stop, last = min(b, k_max + 1), 1
     yield 0.0, a / top, row[1]
-    for k in range(a, stop):
+    for k in range(a, min(b, len(row))):
         yield k / top, (k + 1) / top, row[k]
-    yield max(a, b) / top, 1.0, last
+    yield max(a, b) / top, 1.0, row[top] if top < len(row) else 1
 
 
-def _sup_from_row(
-    n: int, stat: str, row: Sequence[int], k_max: int | None = None
-) -> DeviationReport:
-    if k_max is not None and k_max >= len(row):  # a cut past the row in hand
-        row = _row(n, stat)
+def _sup_from_row(n: int, stat: str, row: Sequence[int]) -> DeviationReport:
     target = _target(stat)
     n_ln_n = n * math.log(n)
     best_dev = -1.0
     best_x = 0.0
-    for x_lo, x_hi, value in _segments(n, stat, row, k_max):
+    for x_lo, x_hi, value in _segments(n, stat, row):
         y = big_ln(value) / n_ln_n
         for x in (x_lo, x_hi):
             dev = abs(y - target(x))
@@ -440,9 +433,11 @@ def _reports(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     f = math.factorial(n_min - 1)  # (n-1)!, the row's first entry
     reports = []
     for n, cut in zip(ns, cuts):
-        # the row up to its cut: c(n, 1), or C(n, k) = (n-1)! a_{k-1} for k <= min(5, n + 1)
-        row = (0, f) if stat == REC else (0, f, 0, f, f // 2, f // 3)[:n + 2]
-        reports.append(_sup_from_row(n, stat, row, cut))
+        # c(n, 1), or C(n, k) = (n-1)! a_{k-1} for k <= min(5, n + 1); a cut
+        # inside it is 1 (rec), 5 (srec, n >= 6) or top = 3 = n + 1 (srec, n = 2)
+        prefix = (0, f) if stat == REC else (0, f, 0, f, f // 2, f // 3)
+        row = prefix[:cut + 1] if cut < len(prefix) else _row(n, stat)
+        reports.append(_sup_from_row(n, stat, row))
         f *= n
     return reports
 
@@ -454,16 +449,17 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
     endpoints, the right one standing in for the one-sided limit, so no
     grid can under-report; a value below 1 raises ValueError.  The scan
     reads the count row of (n, stat) only up to the cut of the bounds on
-    its counts, and both cuts leave only entries read off (n-1)!: for
-    srec the prefix and run bounds, read from one float sweep of
-    normalized rows kept to k <= 2n - 1, cut at k = 5 for every n from 6
-    to 1200, so it reads (n-1)!, (n-1)!/2 and (n-1)!/3; for rec the
-    closed-form bounds cut at k = 1 for every n from 2 to 10^6 checked,
-    so it reads (n-1)! alone.  Neither builds a count row; a cut past
-    that prefix builds the whole row, which the scan reads one segment at
-    a time.  The entries past the cut sit on segments that deviate by
-    strictly less than the sup, the slack covering the bounds' rounding,
-    so the report is the full row's (module docstring).
+    its counts.  For srec the prefix and run bounds, read from one float
+    sweep of normalized rows kept to k <= 2n - 1, cut at k = 5 for every
+    n from 6 to 1200, so it reads (n-1)!, (n-1)!/2 and (n-1)!/3; for rec
+    the closed-form bounds cut at k = 1 for every n from 2 to 10^6
+    checked, so it reads (n-1)! alone.  A row shorter than top + 1 is a
+    certified prefix, and ``_reports`` picks it: the entries read off
+    (n-1)! up to a cut that falls among them, else the whole count row,
+    which the scan reads one segment at a time.  The entries past the cut
+    sit on segments that deviate by strictly less than the sup, the slack
+    covering the bounds' rounding, so the report is the full row's
+    (module docstring).
     ``tau_series`` scans a range of n.
 
     >>> r = sup_deviation(2, "rec")
@@ -480,8 +476,9 @@ def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """DeviationReport for every n in [n_min, n_max], ascending.
 
     One pass over n holds (n-1)!, a running product, and reads each
-    n's cut, as ``sup_deviation`` says; each n reads its row only up to
-    that cut.  For srec the cuts come from one sweep of normalized
+    n's cut, as ``sup_deviation`` says; ``_reports`` hands the scan the
+    prefix of (n-1)! up to that cut, or the whole row when the cut falls
+    past the prefix.  For srec the cuts come from one sweep of normalized
     rows, kept to k <= 2 n_max - 1 in one float list updated in place;
     row n - 1 completes the bounds of n.  For rec each cut is the
     closed-form ``_rec_cut``.

@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -326,12 +327,27 @@ class TestOutputFiles:
         assert path.read_text() == direct
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".recstats-")]
 
-    def test_failed_write_leaves_no_partial_file(self, capsys, tmp_path):
+    def test_failed_write_leaves_no_partial_file(self, capsys, monkeypatch, tmp_path):
         missing = tmp_path / "absent" / "row.csv"
         code, _, err = run(capsys, "rec-table", "--n", "4", "--output", str(missing))
         assert code == 1
         assert err.startswith("error:")
         assert not missing.exists()
+
+        def no_temp(*args, **kwargs):
+            raise AssertionError("a directory target got a temp file")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_temp)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        code, _, dir_err = run(capsys, "rec-table", "--n", "4", "--output", str(folder))
+        assert code == 1
+        assert folder.is_dir() and not list(folder.iterdir())
+        for path, text in ((missing, err), (folder, dir_err)):
+            assert text.startswith("error:") and text.count("\n") == 1, text
+            assert repr(str(path)) in text
+            assert ".recstats-" not in text
+        assert not list(tmp_path.rglob(".recstats-*"))
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_new_file_gets_the_mode_open_gives(self, capsys, tmp_path, umask):

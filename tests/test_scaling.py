@@ -182,6 +182,30 @@ class TestSegments:
                         assert row[_step_index(n, stat, mid)] == value, (stat, n, mid)
                 assert row[_step_index(n, stat, 1.0)] == segs[-1][2], (stat, n)
 
+    def test_full_rows_give_every_middle_segment(self, rec_rows_300, srec_rows_150):
+        # a row of length top + 1: middle k from a to b - 1, then row[top]
+        for stat, rows in ((REC, rec_rows_300), (SREC, srec_rows_150)):
+            for n in (2, 3, 5, 6, 40, 150):
+                row = rows[n]
+                top, a, b = scaling._cuts(n, stat)
+                middle = [(k / top, (k + 1) / top, row[k]) for k in range(a, b)]
+                expected = [(0.0, a / top, row[1]), *middle, (max(a, b) / top, 1.0, row[top])]
+                assert list(_segments(n, stat, row)) == expected, (stat, n)
+
+    def test_prefix_ends_the_middle_segments(self):
+        # a row shorter than top + 1 is a certified prefix: its middle
+        # segments end at its last index, and the last segment takes 1
+        for stat, ns in ((REC, range(3, 60)), (SREC, range(6, 60))):
+            for n in ns:
+                f = math.factorial(n - 1)
+                row = (0, f) if stat == REC else (0, f, 0, f, f // 2, f // 3)
+                top, a, b = scaling._cuts(n, stat)
+                segs = list(_segments(n, stat, row))
+                assert segs[0] == (0.0, a / top, f)
+                assert [value for _, _, value in segs[1:-1]] == list(row[a:])
+                assert segs[-2][0] == (len(row) - 1) / top
+                assert segs[-1] == (max(a, b) / top, 1.0, 1), (stat, n)
+
 
 class TestSupDeviation:
     def test_rec_n2_by_hand(self):
@@ -668,7 +692,7 @@ class TestRecCut:
 
 
 class TestOneSweep:
-    """One sweep per certificate, and the whole row only for a cut past the row in hand."""
+    """One sweep per certificate; ``_reports`` builds the whole row only for a cut past the (n-1)! prefix."""
 
     def test_srec_rows_are_swept_once(self, monkeypatch):
         sweeps = spy(monkeypatch, "_normalized_rows")
@@ -677,10 +701,17 @@ class TestOneSweep:
         sup_deviation(400, SREC)
         assert len(sweeps) == 2
 
+    def test_certified_cuts_read_only_the_prefix(self, monkeypatch):
+        whole = spy(monkeypatch, "_row")
+        tau_series(REC, 2, 400)
+        tau_series(SREC, 6, 300)
+        sup_deviation(1200, SREC)
+        assert whole == []
+
     @pytest.mark.parametrize("slack", [0.02, 0.05, 0.1])
     def test_srec_cut_past_the_prefix_reads_the_whole_row(self, monkeypatch, srec_rows_150, slack):
         # slacks of test_cut_ends_at_the_first_run_that_reaches_the_floor:
-        # the cuts of many n pass k = 5, the end of the row in hand
+        # the cuts of many n pass k = 5, the end of the (n-1)! prefix
         monkeypatch.setattr(scaling, "_BOUND_SLACK", slack)
         whole = spy(monkeypatch, "_row")
         full = [full_scan_sup(n, SREC, srec_rows_150[n]) for n in range(2, 61)]
