@@ -88,7 +88,10 @@ def _write(chunks: Iterable[str], path: str | None) -> None:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: the message of a count below 1
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value

@@ -7,8 +7,12 @@ at the first input where a comparison fails.  The ``verify`` CLI
 command runs the checks through ``_CHECKS``, which maps ``--max-n`` to
 each check's arguments.  The acceptance tests in
 ``tests/test_acceptance.py`` call the same functions with the ranges
-and tolerances pinned there; the logic lives only here.  The oracles
-the checks compare against live in :mod:`recstats.oracles`.
+and tolerances pinned there, and a unit test that needs an invariant
+at its own inputs calls the check too: each comparison is written only
+here.  Each check has a planted-defect test in ``tests/test_verify.py``,
+which makes a production function wrong at one input and expects the
+check to fail there and name it.  The oracles the checks compare
+against live in :mod:`recstats.oracles`.
 
 Each check prints one PASS/FAIL line (or SKIP when its smallest
 meaningful n exceeds the requested cap).  Ranges scale with ``max_n``
@@ -325,14 +329,23 @@ def check_values_match_tables(rec_rows: Rows, srec_rows: Rows) -> None:
                     raise CheckFailure(f"{kind} step value misses exact cut at n={n}, k={k}")
 
 
-def check_segment_interiors(rec_rows: Rows, srec_rows: Rows, seed: int) -> None:
+def check_segment_interiors(ns: range, seed: int) -> None:
+    """On 10 sampled segments of each full row, the interior deviates no more than the ends.
+
+    The ends deviate no more than the sup of the report that one
+    ``_reports`` pass per stat certifies for that n.
+    """
     rng = random.Random(seed)
-    for stat, rows in ((REC, rec_rows), (SREC, srec_rows)):
-        for n, row in rows:
-            report = scaling._sup_from_row(n, stat, row)
-            segments = list(scaling._segments(n, stat, row))
-            for _ in range(10):
-                x_lo, x_hi, value = segments[rng.randrange(len(segments))]
+    for stat in (REC, SREC):
+        reports = scaling._reports(stat, ns[0], ns[-1])
+        for (n, row), report in zip(_sweep(stat, ns[0], ns[-1]), reports):
+            _, a, b = scaling._cuts(n, stat)
+            segments = scaling._segments(n, stat, row)  # both end branches, and k in [a, b)
+            taken = -1
+            for pick in sorted(rng.randrange(2 + max(b - a, 0)) for _ in range(10)):
+                if pick > taken:
+                    x_lo, x_hi, value = next(itertools.islice(segments, pick - taken - 1, None))
+                    taken = pick
                 y = tables.big_ln(value) / (n * math.log(n))
                 end_dev = max(
                     abs(y - scaling.target_value(stat, x_lo)),
@@ -506,7 +519,7 @@ _CHECKS: dict[str, list[tuple[str, Callable[..., object], Callable[[int], tuple]
         ("scaled curves vanish at x = 1", check_psi_at_one, _both_sweeps),
         ("step values match table lookups", check_values_match_tables, _both_sweeps),
         ("interior deviation below endpoint deviation", check_segment_interiors,
-         lambda m: (*_both_sweeps(m), _SEED + 2)),
+         lambda m: (range(2, m + 1), _SEED + 2)),
         ("tau series bounded (rec)", check_tau_window,
          lambda m: (scaling.tau_series(REC, 2, m), min(m, 50))),
         ("tau series bounded (srec)", check_tau_window,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recstats import perm, tables
-from recstats.cli import build_parser, main
+from recstats.cli import _positive_int, build_parser, main
 from recstats.extremal import EXTREMAL_LIMIT, _check_feasible, gamma_bounds
 from recstats.tables import big_ln, srec_max
 
@@ -220,6 +220,20 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             main(["rec-table", "--n", "0"])
         assert info.value.code == 2
+
+    def test_non_integer_count(self):
+        # every flag typed with _positive_int, read off the parser
+        commands = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+        flags = [(name, flag) for name, sub in commands.choices.items() for action in sub._actions
+                 if action.type is _positive_int for flag in action.option_strings]
+        assert {flag for _, flag in flags} == {
+            "--n", "--k", "--m", "--count", "--points", "--n-min", "--n-max", "--max-n"}
+        for name, flag in flags:
+            for text in ("abc", "2.5", ""):
+                code, out, err = run_captured([name, flag, text])
+                assert (code, out) == (2, ""), (name, flag, text)
+                assert err.endswith(f"error: argument {flag}: must be a positive integer\n")
+                assert "_positive_int" not in err
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         from recstats import verify

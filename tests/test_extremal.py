@@ -12,9 +12,19 @@ from recstats.extremal import (
     min_product,
     srec_count_bounds,
 )
-from recstats.oracles import i0_greedy, min_product_brute_force
-from recstats.tables import big_ln, srec_max, srec_table
+from recstats.oracles import i0_greedy
+from recstats.tables import SREC, big_ln, srec_max, srec_table
 from recstats.temme import log_gamma
+from recstats.verify import (
+    _feasible_ks,
+    _sweep,
+    check_gamma_squeeze,
+    check_i0_forms_agree,
+    check_i0_sqrt_distance,
+    check_min_product_vs_bruteforce,
+    check_small_k_structure,
+    check_srec_count_bounds,
+)
 
 
 def full_table_rows(n: int) -> list[list[int | None]]:
@@ -54,7 +64,7 @@ def full_table_minimum(n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     """
     rows = full_table_rows(n)
     results = {}
-    for k in feasible_ks(n):
+    for k in _feasible_ks(n):
         s = k - 1
         witness = [1]
         for j in range(2, n + 1):
@@ -85,11 +95,6 @@ def has_the_shape(chosen: tuple[int, ...], n: int) -> bool:
     return len(normal_form(chosen, n)[1]) <= 1
 
 
-def feasible_ks(n: int) -> list[int]:
-    top = srec_max(n)
-    return [k for k in range(1, top + 1) if k != 2 and k != top - 1]
-
-
 class TestMinProduct:
     def test_small_k_is_k_minus_one(self):
         result = min_product(10, 7)
@@ -111,15 +116,10 @@ class TestMinProduct:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_brute_force(self, n):
-        top = srec_max(n)
-        best = min_product_brute_force(n)
-        for k in range(1, top + 1):
-            if k == 2 or k == top - 1:
-                continue
+        check_min_product_vs_bruteforce([n])
+        for k in _feasible_ks(n):
             got = min_product(n, k)
-            assert (got.m, got.witness) == best[k]
-            assert math.prod(got.witness) == got.m
-            assert sum(got.witness) == k
+            assert math.prod(got.witness) == got.m and sum(got.witness) == k
 
     def test_matches_full_table_oracle(self):
         # brute force stops at n = 15; past it the full-table DP is the reference
@@ -181,11 +181,7 @@ class TestMinProduct:
         assert peak < 1.5e6, f"min_product(100, k) peaked at {peak / 1e6:.2f} MB"
 
     def test_structure_small_k(self):
-        for n in range(3, 31):
-            for k in range(3, n + 1):
-                got = min_product(n, k)
-                assert got.m == k - 1
-                assert got.witness == (1, k - 1)
+        check_small_k_structure(range(3, 31))
 
     def test_rejects_infeasible(self):
         with pytest.raises(ValueError):
@@ -225,9 +221,7 @@ class TestThresholdIndex:
                 assert i0_greedy(n, k) == i, f"n={n}, k={k}"
 
     def test_forms_agree_exhaustively(self):
-        for n in range(4, 61):
-            for k in range(n + 1, srec_max(n) + 1):
-                assert i0_closed(n, k) == i0_greedy(n, k)
+        check_i0_forms_agree(range(4, 61))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -253,14 +247,7 @@ class TestGammaSqueeze:
         assert bounds.log_lower - 1e-9 <= log_m <= bounds.log_upper + 1e-9
 
     def test_brackets_everywhere_small(self):
-        for n in range(4, 26):
-            top = srec_max(n)
-            for k in range(n + 1, top + 1):
-                if k == top - 1:
-                    continue
-                bounds = gamma_bounds(n, k)
-                log_m = big_ln(min_product(n, k).m)
-                assert bounds.log_lower - 1e-9 <= log_m <= bounds.log_upper + 1e-9
+        check_gamma_squeeze(range(4, 26), 1e-9)
 
     def test_squeeze_of_width_ln_n(self):
         """L <= m(n, k) < n L for k > n, with L = n!/(q0 - 1)! and q0 = n - i0.
@@ -285,10 +272,7 @@ class TestGammaSqueeze:
             assert min_product(n, 2 * n - 1).m == n * (n - 2)
 
     def test_sqrt_distance_bound(self):
-        for n in range(4, 61):
-            for k in range(n + 1, srec_max(n)):
-                x = 2 * k / (n * (n + 1))
-                assert abs(n - i0_closed(n, k) - n * math.sqrt(1 - x)) <= 3
+        check_i0_sqrt_distance(range(4, 61))
 
 
 class TestCountBounds:
@@ -315,15 +299,7 @@ class TestCountBounds:
             srec_count_bounds(12, srec_max(12) - 1)
 
     def test_brackets_everywhere_small(self):
-        for n in range(4, 31):
-            row = srec_table(n)
-            top = srec_max(n)
-            for k in range(3, top + 1):
-                if k == top - 1:
-                    continue
-                lo, hi = srec_count_bounds(n, k)
-                actual = big_ln(row.coeffs[k])
-                assert lo - 1e-9 <= actual <= hi + 1e-9
+        check_srec_count_bounds(_sweep(SREC, 4, 30), 1e-9)
 
 
 def test_witness_serialization():

