@@ -27,25 +27,33 @@ at n above it.  Every optimal S is therefore
 
 where any of the three parts may be empty (p = 1, x absent, q = n + 1).
 
-For one k, every optimal set is one of at most nine sets of this shape.
+For one k, every optimal set is one of at most four sets of this shape.
 Write an optimal S in normal form: [q..n] is the longest run of S that
 ends at n (q = n + 1 if n is not in S), and [2..p] the longest run that
 starts at 2 below q (p = 1 if there is none), so q - 1 is not in S, and
-p + 1 is not in S unless S = [2..n], where p = 1 and q = 2.  Let q0 = n - i0(n, k) be the least q with
-sum[q..n] <= k - 1 (i0 is defined below; q0 = n + 1 for k <= n).
+p + 1 is not in S unless S = [2..n], where p = 1 and q = 2.  Let
+q0 = n - i0(n, k) be the least q with sum[q..n] <= k - 1 (i0 is defined
+below; q0 = n + 1 for k <= n).
 
 * p <= 3.  If p >= 4, then S != [2..n], so p + 1 is not in S, and
   p + 1 < q since q - 1 is not in S, so p + 1 <= n.  Trading {2, p - 1}
   for {p + 1} keeps the sum, and 2(p - 1) > p + 1, so S was not optimal.
+* p <= 2.  If p = 3, then 4 is not in S, so x != 4.  With no middle
+  element, S = {2, 3} + [q..n] is the set of p = 2 with x = 3, and is
+  written so from here on.  With x = 5, q >= 7 since q > 5 and q - 1 is
+  not in S, so 4 and 6 <= n are not in S, and trading {2, 3, 5} for
+  {4, 6} keeps the sum and lowers the product from 30 to 24.  With
+  x >= 6, 5 <= n is not in S, and trading {2, 3} for {5} lowers the
+  product from 6 to 5.
 * q >= q0, because sum[q..n] <= k - 1 < sum[q0-1..n].
-* q <= q0 + 2.  Otherwise [q0..q-1] holds q - 1, q - 2 and q - 3, so
-  r = k - 1 - sum[q..n] >= 3q - 6.  But r = sum[2..p] + x with p <= 3
-  and x <= q - 2 (q - 1 is not in S), so r <= 5 + (q - 2).  That gives
-  q <= 4, while q >= q0 + 3 >= 5, as sum[1..n] > k - 1 makes q0 >= 2.
+* q <= q0 + 1.  Otherwise [q0..q-1] holds q - 1 and q - 2, so
+  r = k - 1 - sum[q..n] >= 2q - 3.  But r = sum[2..p] + x with p <= 2
+  and x <= q - 2 (q - 1 is not in S), so r <= q.  That gives q <= 3,
+  while q >= q0 + 2 >= 4, as sum[1..n] > k - 1 makes q0 >= 2.
 
 Each (p, q) leaves one x = k - 1 - sum[q..n] - sum[2..p], which must be
 0 (no middle element) or lie strictly between p and q, so min_product
-tries at most nine sets, each of product p! * q (q+1) ... n * x.  That
+tries at most four sets, each of product p! * q (q+1) ... n * x.  That
 is a few products of at most log2 n! bits, and nothing is kept between
 calls.  Every optimal set is one of the candidates, so the least
 (m, witness) pair over the candidates is m(n, k) with the
@@ -126,15 +134,16 @@ def _check_feasible(n: int, k: int) -> None:
 
 
 def min_product(n: int, k: int) -> ExtremalResult:
-    """Exact m(n, k) with a witness, from the at most nine candidate sets.
+    """Exact m(n, k) with a witness, from the at most four candidate sets.
 
     The candidates are the sets [2..p] + {x} + [q..n] of the module
-    docstring with p in {1, 2, 3} and q in {q0, q0 + 1, q0 + 2}.  For
-    k <= n, q0 = n + 1 and the least candidate is {k - 1}: m = k - 1
-    with witness (1, k - 1), or (1,) at k = 1.  If several tuples share
-    the minimal product, the lexicographically smallest one is returned,
-    as in ``oracles.min_product_brute_force``; no (n, k) with two optimal
-    sets was found for n <= 120, so no test can observe this rule.
+    docstring with p in {1, 2} and q in {q0, q0 + 1}.  For k <= n,
+    q0 = n + 1 and the least candidate is {k - 1}: m = k - 1 with
+    witness (1, k - 1), or (1,) at k = 1.  If several tuples share the
+    minimal product, the lexicographically smallest one is returned, as
+    in ``oracles.min_product_brute_force``; every sum for n <= 18 has one
+    optimal set (all of them enumerated by the tests), and no (n, k) with
+    two was found for n <= 120, so no test can observe this rule.
 
     >>> min_product(6, 12)
     ExtremalResult(n=6, k=12, m=30, witness=(1, 5, 6))
@@ -144,9 +153,9 @@ def min_product(n: int, k: int) -> ExtremalResult:
     _check_feasible(n, k)
     q0 = n - _i0(n, k)
     candidates = []
-    for q in range(q0, min(q0 + 2, n + 1) + 1):
+    for q in range(q0, min(q0 + 1, n + 1) + 1):
         r = k - 1 - (n + q) * (n + 1 - q) // 2  # the sum left for [2..p] + {x}
-        for p in range(1, min(3, q - 1) + 1):
+        for p in range(1, min(2, q - 1) + 1):
             x = r + 1 - p * (p + 1) // 2
             if x == 0 or p < x < q:
                 m = math.factorial(p) * math.perm(n, n + 1 - q) * (x or 1)

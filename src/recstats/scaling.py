@@ -28,11 +28,12 @@ first maximum kept, so its report (sup, argmax, first maximum on ties)
 is the full scan's by construction.  It holds one segment at a time on
 top of the row, and a value below 1 raises big_ln's ValueError.  It
 reads the row it is given: a row shorter than top + 1 is a certified
-prefix, and ``_reports`` picks it.  A certificate (below) cuts the row
-at a small k.  When the cut falls among the entries read off (n-1)!,
-``_reports`` hands the scan those entries up to the cut; otherwise it
-builds the whole row.  On a prefix the middle segments end with the
-row, and the last segment takes row[top] = 1.
+prefix, and ``_reports`` picks it.  For rec a theorem (below) cuts the
+row at k = 1, and for srec a certificate cuts it at a small k.  When the
+cut falls among the entries read off (n-1)!, ``_reports`` hands the scan
+those entries up to the cut; otherwise it builds the whole row.  On a
+prefix the middle segments end with the row, and the last segment takes
+row[top] = 1.
 
 For srec a certificate leaves the scan no more than the row's first
 entries to read.  It bounds the deviation of every segment past the cut
@@ -104,9 +105,11 @@ run of q0 = n and a_{n-1}, so ``_srec_cut`` reads the cut of n when that
 row arrives.  Its floor is the largest deviation of the end segments
 and of segments 3..5, (n-1)! on [0, 4/top), (n-1)!/2 and (n-1)!/3 on
 the next two and 1 on [1 - 1/top, 1], with ln((n-1)!) read as
-lgamma(n) as ``_rec_cut`` does, less the slack.  When the prefix bound
-and every run bound lie below it, no segment past k = 5 can hold the
-sup: the cut is 5, and the scan reads the prefix to k = 5.  That holds
+lgamma(n), less the slack; the few ulps by which lgamma may differ from
+the scan's log of (n-1)! sit inside the slack as the bounds' rounding
+does.  When the prefix bound and every run bound lie below it, no
+segment past k = 5 can hold the sup: the cut is 5, and the scan reads
+the prefix to k = 5.  That holds
 for every n from 6 to 1200; the sup sits at x = 0 up to n = 9 and at
 the left end of segment 5, (n-1)!/3, from n = 10 on.  n = 2..5, and any
 n whose bounds reach the floor, read the whole row.  The entries past
@@ -114,38 +117,36 @@ the cut are never read: each of their segments deviates by strictly
 less than the sup, the slack covering the bounds' rounding as above, so
 the report is the one the full row gives.
 
-For rec the same kind of floor needs no row beyond k = 1.  Expanding
-q(q+1)...(q+n-1) gives c(n, k) = e_{n-k}(1, 2, ..., n-1), the
-elementary symmetric sum of degree n - k.  Its term k(k+1)...(n-1), of
-the n - k largest factors, gives c(n, k) >= (n-1)!/(k-1)!.  Each term of
-e_j(x) appears j! times in the expansion of (x_1 + x_2 + ...)^j, whose
-other terms are nonnegative, so e_j(x) <= (sum x)^j / j! and
-c(n, k) <= C(n, 2)^(n-k)/(n-k)!, where C(n, 2) = 1 + 2 + ... + (n-1).
-Segment k covers [k/n, (k+1)/n) and T decreases, so it deviates by at
-most the larger of
+For rec the sup sits at x = 0 for every n >= 2, so the scan reads only
+(n-1)!, a running product as for srec, and no row is built.  Let
+F = 1 - ln((n-1)!)/(n ln n), the first segment's deviation at x = 0.
+As (n-1)! <= n^(n-2), the other ends of the two segments of (n-1)!, on
+[0, 2/n), deviate by F - 1/n and F - 2/n, and c(n, n) = 1 deviates by 0
+at x = 1.  Middle segment k >= 2 covers [k/n, (k+1)/n) and T decreases,
+so it deviates by at most the larger of T(k/n) - ln c(n, k)/(n ln n)
+below the target and ln c(n, k)/(n ln n) - T((k+1)/n) above it.
+Expanding q(q+1)...(q+n-1) gives c(n, k) = e_{n-k}(1, 2, ..., n-1), the
+elementary symmetric sum of degree n - k.
 
-    below: T(k/n) - ln((n-1)!/(k-1)!)/(n ln n),
-    above: ((n-k) ln C(n, 2) - ln (n-k)!)/(n ln n) - T((k+1)/n).
+* Below.  The term k(k+1)...(n-1) of e_{n-k}, of the n - k largest
+  factors, gives c(n, k) >= (n-1)!/(k-1)!, so the deviation below is at
+  most F - k/n + ln((k-1)!)/(n ln n).  From k to k + 1 that changes by
+  (ln k - ln n)/(n ln n) < 0, so it is at most F - 2/n, its value at
+  k = 2.
+* Above.  Put j = n - k.  Each term of e_j(x) appears j! times in the
+  expansion of (x_1 + x_2 + ...)^j, whose other terms are nonnegative,
+  so c(n, k) <= C(n, 2)^j/j! = n^j c^j/j! with c = C(n, 2)/n = (n-1)/2,
+  and c^j/j! <= e^c.  F less the deviation above is
+  ((n + j) ln n - ln n! - ln c(n, k))/(n ln n), and with
+  n! <= e sqrt(n) (n/e)^n that is at least (n - 1 - ln n)/(2 n ln n) > 0.
 
-From k to k + 1 the first changes by (ln k - ln n)/(n ln n) < 0, so
-over the middle k >= 2 it is largest at k = 2, where it is the first
-segment's deviation at x = 0 less 2/n.  The second changes by
-ln(2(n-k)/(n-1))/(n ln n), which is positive for k < (n+1)/2 and not
-for k >= (n+1)/2, so over all k in [1, n] it is largest at
-h = floor((n+1)/2) or h + 1 (both when n is odd).  ``_rec_bounds``
-evaluates those three values, O(1) float operations per n.  The floor
-is the first segment's deviation at x = 0, 1 - ln((n-1)!)/(n ln n),
-less the slack: (n-1)! < n^(n-1) keeps that segment below T(1/n), and
-c(n, n) = 1 deviates by 0 at x = 1.  ``_rec_cut`` reads ln((n-1)!) as
-lgamma(n), so the cut needs no factorial; the few ulps by which it may
-differ from the scan's log of (n-1)! sit inside the slack as the
-rounding above does.  When the three values lie below the floor, no
-middle k >= 2 can hold the sup, and the sup is the first segment's
-deviation at x = 0: no row is built, and the scan reads only (n-1)!, a
-running product as for srec.
-The margin is 2/n below and about 1/(2 ln n) above; the check holds for
-every n from 2 to 10^6 and at the n sampled up to 10^9.  From n = 2 * 10^9 on, 2/n no
-longer clears the slack and the cut is the whole row.  The curves and
+So every middle segment k >= 2 deviates by at most
+F - min(2/n, (n - 1 - ln n)/(2 n ln n)) < F, and tau(n) =
+ln n - ln((n-1)!)/n.  The scan's deviations are differences of floats
+at most 1, each a few ulps off, while that gap exceeds 1e-9 for every
+n below 2 * 10^9, far past any n whose (n-1)! can be formed; so no
+skipped endpoint can reach the scan's deviation at x = 0, and the
+report from the prefix (0, (n-1)!) is the full row's.  The curves and
 the tables keep full rows.
 """
 
@@ -396,45 +397,16 @@ def _srec_cuts(n_min: int, n_max: int) -> Iterator[int]:
             yield _srec_cut(n, lows, a_min, a_max) if n >= 6 else srec_max(n)
 
 
-def _rec_bounds(n: int) -> tuple[float, float]:
-    """(lower, upper): the largest deviation below and above the target on any rec middle segment k >= 2.
-
-    Read from the closed-form bounds (n-1)!/(k-1)! <= c(n, k) <=
-    C(n, 2)^(n-k)/(n-k)! at the k where each side peaks (module
-    docstring): k = 2 below, k = h or h + 1 above, h = floor((n+1)/2).
-    """
-    n_ln_n = n * math.log(n)
-    # ln((n-1)!/(k-1)!) at k = 2
-    lower = _one_minus(2 / n) - (math.lgamma(n) - math.lgamma(2)) / n_ln_n
-    ln_pairs = math.log(n * (n - 1) // 2)
-    h = (n + 1) // 2
-    upper = max(
-        ((n - k) * ln_pairs - math.lgamma(n - k + 1)) / n_ln_n - _one_minus((k + 1) / n)
-        for k in (h, h + 1)
-    )
-    return lower, upper
-
-
-def _rec_cut(n: int) -> int:
-    """The last k of the rec row of n that the sup scan must read: 1 when ``_rec_bounds`` certify, else n.
-
-    The floor is the first segment's deviation at x = 0, the larger of
-    the end segments', with ln((n-1)!) read as lgamma(n), less
-    ``_BOUND_SLACK`` (module docstring).
-    """
-    floor = 1.0 - math.lgamma(n) / (n * math.log(n)) - _BOUND_SLACK
-    return 1 if max(_rec_bounds(n)) < floor else n
-
-
 def _reports(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """``tau_series`` without its argument checks."""
     ns = range(n_min, n_max + 1)
-    cuts = map(_rec_cut, ns) if stat == REC else _srec_cuts(n_min, n_max)
+    cuts = repeat(1) if stat == REC else _srec_cuts(n_min, n_max)
     f = math.factorial(n_min - 1)  # (n-1)!, the row's first entry
     reports = []
     for n, cut in zip(ns, cuts):
         # c(n, 1), or C(n, k) = (n-1)! a_{k-1} for k <= min(5, n + 1); a cut
-        # inside it is 1 (rec), 5 (srec, n >= 6) or top = 3 = n + 1 (srec, n = 2)
+        # inside it is 1 (rec, every n: module docstring), 5 (srec, n >= 6)
+        # or top = 3 = n + 1 (srec, n = 2)
         prefix = (0, f) if stat == REC else (0, f, 0, f, f // 2, f // 3)
         row = prefix[:cut + 1] if cut < len(prefix) else _row(n, stat)
         reports.append(_sup_from_row(n, stat, row))
@@ -448,18 +420,19 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
     The report is the one from evaluating every constant segment at both
     endpoints, the right one standing in for the one-sided limit, so no
     grid can under-report; a value below 1 raises ValueError.  The scan
-    reads the count row of (n, stat) only up to the cut of the bounds on
-    its counts.  For srec the prefix and run bounds, read from one float
+    reads the count row of (n, stat) only up to a cut.  For rec the cut
+    is k = 1 for every n, a theorem of the module docstring: no middle
+    segment k >= 2 reaches the deviation at x = 0, so the scan reads
+    (n-1)! alone.  For srec the prefix and run bounds, read from one float
     sweep of normalized rows kept to k <= 2n - 1, cut at k = 5 for every
-    n from 6 to 1200, so it reads (n-1)!, (n-1)!/2 and (n-1)!/3; for rec
-    the closed-form bounds cut at k = 1 for every n from 2 to 10^6
-    checked, so it reads (n-1)! alone.  A row shorter than top + 1 is a
-    certified prefix, and ``_reports`` picks it: the entries read off
-    (n-1)! up to a cut that falls among them, else the whole count row,
-    which the scan reads one segment at a time.  The entries past the cut
-    sit on segments that deviate by strictly less than the sup, the slack
-    covering the bounds' rounding, so the report is the full row's
-    (module docstring).
+    n from 6 to 1200, so it reads (n-1)!, (n-1)!/2 and (n-1)!/3.  A row
+    shorter than top + 1 is a certified prefix, and ``_reports`` picks
+    it: the entries read off (n-1)! up to a cut that falls among them,
+    else the whole count row, which the scan reads one segment at a time.
+    The entries past the cut sit on segments that deviate by strictly
+    less than the sup, by a gap far above the scan's rounding (rec) or
+    with the slack covering the bounds' rounding (srec), so the report
+    is the full row's (module docstring).
     ``tau_series`` scans a range of n.
 
     >>> r = sup_deviation(2, "rec")
@@ -480,8 +453,7 @@ def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     prefix of (n-1)! up to that cut, or the whole row when the cut falls
     past the prefix.  For srec the cuts come from one sweep of normalized
     rows, kept to k <= 2 n_max - 1 in one float list updated in place;
-    row n - 1 completes the bounds of n.  For rec each cut is the
-    closed-form ``_rec_cut``.
+    row n - 1 completes the bounds of n.  For rec every cut is k = 1.
     """
     _check_stat(stat)
     if not 2 <= n_min <= n_max:

@@ -24,7 +24,6 @@ from recstats.tables import (
 from recstats.verify import (
     check_rec_row_vs_polynomial,
     check_srec_extremes,
-    check_tables_vs_bruteforce,
 )
 
 
@@ -156,10 +155,6 @@ class TestBruteForce:
     def test_n1(self):
         rec_bf, srec_bf = brute_force_tables(1)
         assert rec_bf.coeffs[1] == 1 and srec_bf.coeffs[1] == 1
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_matches_recurrences(self, n):
-        check_tables_vs_bruteforce([n])
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

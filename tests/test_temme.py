@@ -21,11 +21,7 @@ from recstats.temme import (
     temme_estimate,
     trigamma,
 )
-from recstats.verify import (
-    check_scaled_limit_trend,
-    check_solver_residuals,
-    check_u1_enclosure,
-)
+from recstats.verify import check_scaled_limit_trend, check_solver_residuals
 
 mpmath.mp.dps = 40
 
@@ -136,9 +132,6 @@ class TestSolver:
     def test_enclosure_n100(self):
         u1 = solve_u1(100, 50)
         assert 5.0 <= u1 <= 101.0
-
-    def test_enclosure_large_n(self):
-        check_u1_enclosure((50, 100, 200))
 
     def test_rejects_degenerate_m(self):
         with pytest.raises(ValueError):
