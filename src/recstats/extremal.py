@@ -80,8 +80,8 @@ records sit exactly at {1} + S, S a subset of {2, ..., n}, number
 alone then gives C(n, k) >= n!/(n m(n, k)) > Gamma(n-i_0)/n^2, a factor
 e^n/n above the paper's lower end.  That keeps one term of C(n, k); the
 ``scaling`` module docstring sums two disjoint families of sets
-instead, a bound about e^10 sharper in the middle of the row at
-n = 300, on which the srec sup scan is certified.
+instead, for C(n, k) >= 0.4678 Gamma(n-i_0-1) when n - i_0 >= 9, on
+which the proof of the srec sup scan's cut rests.
 """
 
 from __future__ import annotations

@@ -28,21 +28,13 @@ first maximum kept, so its report (sup, argmax, first maximum on ties)
 is the full scan's by construction.  It holds one segment at a time on
 top of the row, and a value below 1 raises big_ln's ValueError.  It
 reads the row it is given: a row shorter than top + 1 is a certified
-prefix, and ``_reports`` picks it.  For rec a theorem (below) cuts the
-row at k = 1, and for srec a certificate cuts it at a small k.  When the
-cut falls among the entries read off (n-1)!, ``_reports`` hands the scan
-those entries up to the cut; otherwise it builds the whole row.  On a
-prefix the middle segments end with the row, and the last segment takes
-row[top] = 1.
-
-For srec a certificate leaves the scan no more than the row's first
-entries to read.  It bounds the deviation of every segment past the cut
-and compares each bound with a floor: the largest deviation of the
-segments the scan reads anyway, less the slack ``_BOUND_SLACK`` = 1e-9.
-A bound's terms carry a few ulps of rounding, and the slack covers it
-many times over while they stay below 1e4; for count rows, whose values
-are at most n!, they are at most 1.  A segment bounded below the floor
-therefore deviates by strictly less than the sup.
+prefix, and ``_reports`` picks it.  Two theorems (below) cut the rows:
+rec at k = 1 for every n, and srec at k = 5 for every n >= 6.  So the
+scan reads (n-1)! alone for rec and (0, f, 0, f, f/2, f/3), f = (n-1)!,
+for srec, with f a running product over the range of n seeded with
+``math.factorial``; srec n = 2..5 read the whole row.  On a prefix the
+middle segments end with the row, and the last segment takes
+row[top] = 1.  The curves and the tables keep full rows.
 
 Position j of a uniform permutation is a record with probability 1/j,
 independently of the others, so the permutations whose records sit
@@ -54,25 +46,54 @@ and
 For k <= n + 1, a set of distinct integers >= 2 with sum k - 1 <= n
 has no element above n, so the bound S in {2, ..., n} can be dropped:
 C(n, k) = (n-1)! a_{k-1} for k <= n + 1, where a_j, the coefficient of
-z^j in prod(1 + z^s/(s - 1) for s >= 2), does not depend on n.  From
-a_0, ..., a_4 = 1, 0, 1, 1/2, 1/3, the row of n >= 4 begins
-(0, f, 0, f, f/2, f/3) with f = (n-1)!: that prefix is all the scan
-reads, with f a running product over the range of n seeded with
-``math.factorial``.
+z^j in P(z) = prod(1 + z^s/(s - 1) for s >= 2), does not depend on n.
+From a_0, ..., a_4 = 1, 0, 1, 1/2, 1/3, the row of n >= 4 begins
+(0, f, 0, f, f/2, f/3).  For n + 1 < k <= 2n + 1 a set with sum
+k - 1 <= 2n has at most one element s > n, and the rest, with sum
+k - 1 - s < n, lies in {2, ..., n}; that is the band formula
+C(n, k)/(n-1)! = a_{k-1} - sum of a_{k-1-s}/(s - 1) over n < s < k.
+The tests check both identities on exact rows.
 
-The normalized rows D_m(k) = C(m, k)/(m-1)! follow D_m(k) = D_{m-1}(k)
-+ D_{m-1}(k-m)/(m-1) from D_1 = (0, 1), and D_m(k) = a_{k-1} for
-k <= m + 1.  ``_normalized_rows`` runs that recurrence in floats.
-Every D_m(k) is a sum of nonnegative terms and a step rounds one
-quotient and one sum, so by induction each computed entry lies within a
-factor (1 + 2^-53)^(2m-2) of its exact value; a run's bound below
-rounds twice more, to (1 + 2^-53)^(2m), a relative error below
-3m 2^-53.  That holds for normal floats.  Only rows m > 170 hold
-entries below 2^-1022, kept only once n_max passes about 7000; there a
-rounding may add up to 2^-1075 instead, nothing beside the values read,
-each at least 1/n.  So the logs of the bounds err by about 3m 2^-53
-plus a few ulps of ``math.log`` and ``math.lgamma``, which divided by
-n ln n sits far inside the slack.
+Lemma 1.  0.4678 <= a_m <= 1 for every m >= 5; the least is
+a_8 = 131/280 and the largest a_5 = 3/4.  For 5 <= m <= M = 3500 a test
+forms the product in floats.  Each coefficient is a sum of nonnegative
+terms, each above 10^-134 (a set with sum at most 3500 has at most 82
+elements, so by AM-GM its product of s - 1 is below (3500/82)^82), and
+each factor rounds one quotient and one sum, so the computed a_m lies
+within a factor (1 + 2^-53)^(2m) < 1 + 10^-9 of the exact one.  For
+m > M: as 1/(1 - z) = exp(sum of z^s/s over s >= 1),
+P(z) = e^-z E(z)/(1 - z), with E(z) = prod(F_s(z^s) for s >= 2) and
+F_s(w) = (1 + w/(s - 1)) e^(-w/s).  So a_m = sum of e_i S(m - i) over
+i <= m, with e_i the coefficients of E and S(t) = sum of (-1)^j/j! over
+j <= t.  F_s has the coefficients c_{s,t} = (-1)^(t-1) s^(1-t)/(t-1)!
+(1/(s - 1) - 1/(st)) for t >= 1, so G_s(w) = 2 - F_s(-w) has the
+coefficients |c_{s,t}|, and |e_i| is at most the coefficient u_i of
+G(z) = prod(G_s(z^s)).  G(1) is finite (below), so E(1) =
+prod((s/(s - 1)) e^(-1/s)) = e^(1-gamma) is the absolutely convergent
+sum of the e_i, and
+
+    |a_m - e^-gamma| <= sum of u_i |S(m - i) - 1/e| over i <= m + sum of u_i/e over i > m.
+
+The alternating tail gives |S(t) - 1/e| <= 1/(t+1)!, and for
+1 <= i <= m, 1/(m - i + 1)! <= i/m <= (i/m)^theta with theta = 4/5, as
+i (m - i + 1)! >= i (m - i + 1) >= m; for i > m, 1/e < (i/m)^theta.  So
+|a_m - e^-gamma| <= 1/(m+1)! + K m^-theta, K = sum of u_i i^theta over
+i >= 1.  As
+(i_1 + i_2 + ...)^theta <= i_1^theta + i_2^theta + ..., K <=
+G(1) * sum of B_s/G_s(1), with B_s = sum of (st)^theta |c_{s,t}| over t,
+and t^theta <= 1 + theta (t - 1) gives B_s <= s^theta ((1 - theta)
+(G_s(1) - 1) + theta G_s'(1)).  Here G_s(1) = 2 - (s-2) e^(1/s)/(s-1),
+so G_2(1) = 2, and e^(1/s) >= 1 + 1/s + 1/(2s^2) gives G_s(1) - 1 <=
+(3s + 2)/(2s^2 (s-1)); G_s'(1) = 2 e^(1/s)/(s(s-1)).  Hence
+ln G(1) <= ln 2 + sum of (3s + 2)/(2s^2 (s-1)) over s >= 3
+= ln 2 + 5/2 - pi^2/6, so G(1) < 4.71, and B_s <= s^(theta-2)
+(s/(s - 1)) beta_s with beta_s = (1 - theta)(3s + 2)/(2s) +
+2 theta e^(1/s), which decreases in s.  The terms s = 2..5, that of
+s = 2 halved by G_2(1), add up to less than 3.39; the rest to less than
+(6/5) beta_6 * 5 * 5.5^-0.2 < 9.49, since the sum of s^-1.2 over s >= 6
+is at most the integral of x^-1.2 from 5.5 on.  So K < 4.71 * 12.88 <
+60.7, and for m > 3500, |a_m - e^-gamma| < 60.7 * 3500^-0.8 + 10^-9 <
+0.0888, while e^-gamma = 0.56145... lies 0.0936 above 0.4678.
 
 For 3 <= q <= n + 1 let F_q hold the S with [q..n] in S and q - 1 not
 in S: q - 1 is the largest value S leaves out, so the F_q are disjoint.
@@ -80,42 +101,75 @@ Such an S is [q..n] plus a subset S' of {2, ..., q - 2}, and its term
 is q - 2 times the term of S' in the row of q - 2, so F_q adds up to
 (q - 2) C(q - 2, k - sum[q..n]), with C(m, j) = 0 off the row.  Every
 k > n lies in the run of one q0 = n - i0(n, k) (``extremal``), k =
-sum[q0..n] + 1 + r with 0 <= r <= q0 - 2, and F_q0 and F_q0+1 give,
-with m = q0 - 1,
+sum[q0..n] + 1 + r with 0 <= r <= q0 - 2 and 3 <= q0 <= n.
 
-    C(n, k) >= (q0 - 2) C(q0 - 2, r + 1) + (q0 - 1) C(q0 - 1, r + 1 + q0)
-             = (m - 1)! [D_m(r + 1) + m D_m(r + 1 + q0)],
+Lemma 2.  For q0 >= 9, C(n, k) >= 0.4678 (q0 - 2)! on the whole run.
+F_q0 adds up to (q0 - 2)! a_r, by the prefix identity in the row of
+q0 - 2, and F_q0+1 to (q0 - 1) C(q0 - 1, q0 + r + 1) =
+(q0 - 1)! (a_{q0+r} - sum of a_{r-i}/(q0 - 1 + i) over i <= r), by the
+band formula in the row of q0 - 1.  For r >= 5, lemma 1 bounds a_r.
+For r <= 4, a_0 + ... + a_4 = 17/6 and lemma 1 give C(n, k) >=
+(q0 - 1)! (0.4678 - (17/6)/(q0 - 1)) >= 0.4678 (q0 - 2)!, as
+7 * 0.4678 > 17/6.  The upper end on the run is
+``extremal._log_count_upper``: C(n, k) <= 2^n Gamma(q0).
 
-the first term read from row m by the prefix identity, as r + 1 <= m.
-At q0 = 3 only r = 0 counts, where the bound is 1: r = 1 is k = top - 1,
-the zero coefficient, which no middle segment reads.  The bound depends
-on (q0, r) alone, so the least value over each run serves every n, and
-row m gives that of q0 = m + 1 in O(m) from its entries k <= 2m + 1.
-The upper end on the run stays ``extremal._log_count_upper``,
-2^n Gamma(q0).  Both ends are constant on a run and T decreases, so no
-segment of the run deviates by more than max(hi/(n ln n) - T(x_end),
-T(x_start) - lo/(n ln n)), read at the run's two ends.  Likewise
-segments 6..n hold (n-1)! a_{k-1}, so they deviate by at most the larger
-of (ln((n-1)!) + ln max a)/(n ln n) - T((n+1)/top) and T(6/top) -
-(ln((n-1)!) + ln min a)/(n ln n), over a_5, ..., a_{n-1}.
+Theorem (srec).  For n >= 6 no middle segment k >= 6 reaches the
+largest deviation of the segments the prefix holds: the first,
+segments 3..5 and the last, of values (n-1)!, (n-1)!/2, (n-1)!/3 and 1.
+Write f = (n-1)!, P = n(n+1) = 2 top, N = n ln n and T(x) = sqrt(1 - x).
+The left end of segment 5 deviates by E = T(10/P) - ln(f/3)/N, so the
+floor, the largest deviation of the segments read, is at least E.  For
+n >= 65 every middle segment 6 <= k <= top - 2 deviates at both ends by
+at most E - g(n), where
 
-``_srec_cuts`` makes one sweep of the normalized rows up to n_max - 1,
-kept to k <= 2 n_max - 1.  Row n - 1 completes the least bound of the
-run of q0 = n and a_{n-1}, so ``_srec_cut`` reads the cut of n when that
-row arrives.  Its floor is the largest deviation of the end segments
-and of segments 3..5, (n-1)! on [0, 4/top), (n-1)!/2 and (n-1)!/3 on
-the next two and 1 on [1 - 1/top, 1], with ln((n-1)!) read as
-lgamma(n), less the slack; the few ulps by which lgamma may differ from
-the scan's log of (n-1)! sit inside the slack as the bounds' rounding
-does.  When the prefix bound and every run bound lie below it, no
-segment past k = 5 can hold the sup: the cut is 5, and the scan reads
-the prefix to k = 5.  That holds
-for every n from 6 to 1200; the sup sits at x = 0 up to n = 9 and at
-the left end of segment 5, (n-1)!/3, from n = 10 on.  n = 2..5, and any
-n whose bounds reach the floor, read the whole row.  The entries past
-the cut are never read: each of their segments deviates by strictly
-less than the sup, the slack covering the bounds' rounding as above, so
-the report is the one the full row gives.
+    g(n) N = ln(3 * 0.4678) - (ln n - 1)^2/(8n) - 5N/(P - 5).
+
+g(n) N is 0.0029 at n = 65, 0.095 at 100 and 0.30 at 1000, and it grows
+with n, as both terms it subtracts fall for n > e^3.  The tools:
+sqrt(1 - t) >= 1 - t/(2 - t) on [0, 1], so N T(10/P) >= N - 5N/(P - 5);
+Robbins' bound ln n! < (n + 1/2) ln n - n + 1, so ln f <
+(n - 1/2) ln n - n + 1 and NE > V = n - 1 + ln(3 sqrt n) - 5N/(P - 5).
+T decreases, so a segment deviates below the target most at its left
+end and above it most at its right end.
+
+* 6 <= k <= n + 1, C(n, k) = f a_{k-1}.  Below: by lemma 1 the left end
+  deviates by at most T(6/top) - (ln f + ln 0.4678)/N, which lies
+  (ln(3 * 0.4678) + N (T(5/top) - T(6/top)))/N >= g(n) below E.  Above:
+  a_{k-1} <= 1, so the right end deviates by at most
+  ln f/N - T((n+2)/top), and N times its gap to E exceeds
+  2n - 2 + ln(3n) - 5N/(P - 5) - N(n + 2)/(P - n - 2) > 1.
+* k > n in the run of q0 >= 9, below.  With d = n - q0,
+  top - k <= q0(q0 - 1)/2 - 1, so T(k/top)^2 < q0(q0 - 1)/P <=
+  ((q0 - 1/2)/(n + 1/2))^2.  f/(q0 - 2)! is a product of d + 1 factors
+  of mean n - 1 - d/2, so its log is at most (d + 1)(ln n - (d + 2)/(2n)).
+  With lemma 2, N times the gap to E is at least
+  ln(3 * 0.4678) - 5N/(P - 5) + (d + 1)((d + 2)/(2n) - ln n/(2n + 1)),
+  and the last term is at least the least value of
+  x(x + 1 - ln n)/(2n) over real x, -(ln n - 1)^2/(8n): that is g(n) N.
+* k > n in the run of q0 <= 8, below.  C(n, k) >= 1, as a middle
+  segment holds a feasible k, and T(k/top) < 7.5/(n + 1/2) as above,
+  so N times the gap to E exceeds V - 7.5N/(n + 1/2) > 1.
+* k > n in any run, above.  C(n, k) <= 2^n Gamma(q0), and
+  top - k - 1 >= q0(q0 - 3)/2 gives T((k+1)/top) >= (q0 - 3)/(n + 1/2).
+  N times the gap to E exceeds V - n ln 2 + h(q0), where
+  h(q) = N(q - 3)/(n + 1/2) - ln Gamma(q) is concave, so at least
+  min(h(3), h(n)) >= min(-ln 2, n - 1 - 3 ln n) = -ln 2, and
+  V - n ln 2 - ln 2 > 1.
+
+Every other gap exceeds 1 > g(n) N.  For 6 <= n < 65 a test
+reads the exact rows: every middle segment k >= 6 deviates by at most
+the floor less ln(3 * 0.4678)/N.  The scan's deviations are differences
+of floats at most 1, each a few ulps off, while g(n) > 10^-12 for every
+n from 65 to 10^10, far past any n whose (n-1)! can be formed; so no
+skipped endpoint can reach the floor, and the report from the prefix is
+the full row's.  For n >= 10 the sup is E itself.  It exceeds the
+deviation 1 - ln f/N at x = 0 by ln 3/N - (1 - T(10/P)) >=
+(ln 3 - 5N/(P - 5))/N > 0, that of f/2 at x = 4/top by
+ln(3/2)/N - (T(8/P) - T(10/P)) > ln(3/2)/N - 1.1/P > 0, and that of the
+last segment, sqrt(2/P), since NE > V; the right ends of the first
+segments deviate less than their left ends.  So tau(n) =
+ln n sqrt(1 - 10/(n(n+1))) - ln((n-1)!/3)/n for every n >= 10, and n <= 9
+have the sup at x = 0.
 
 For rec the sup sits at x = 0 for every n >= 2, so the scan reads only
 (n-1)!, a running product as for srec, and no row is built.  Let
@@ -146,15 +200,12 @@ ln n - ln((n-1)!)/n.  The scan's deviations are differences of floats
 at most 1, each a few ulps off, while that gap exceeds 1e-9 for every
 n below 2 * 10^9, far past any n whose (n-1)! can be formed; so no
 skipped endpoint can reach the scan's deviation at x = 0, and the
-report from the prefix (0, (n-1)!) is the full row's.  The curves and
-the tables keep full rows.
+report from the prefix (0, (n-1)!) is the full row's.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import add, mul, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .tables import (
@@ -166,14 +217,10 @@ from .tables import (
     srec_table,
 )
 
-# the series reads each srec row only to k = 5, so its cost is the cuts': a
-# float sweep of about 1.5 n_max^2 operations and about n_max^2 / 2 run
-# bounds (module docstring); the cap stays until one cost model sets every cap
+# the series reads only (n-1)!, (n-1)!/2 and (n-1)!/3 of each srec row past
+# n = 5 (module docstring), so no cost of its own sets this cap; it rejects
+# outside input until one cost model sets every cap
 SREC_SERIES_LIMIT = 300
-
-_LN2 = math.log(2.0)
-# absolute; the module docstring says why it covers the bound's rounding
-_BOUND_SLACK = 1e-9
 
 
 class ScaledCurve(NamedTuple):
@@ -327,88 +374,20 @@ def _sup_from_row(n: int, stat: str, row: Sequence[int]) -> DeviationReport:
     return DeviationReport(n, stat, best_dev, best_dev * math.log(n), best_x)
 
 
-def _normalized_rows(m_max: int) -> Iterator[tuple[int, list[float]]]:
-    """Yield (m, D_m) for m = 1..m_max, D_m(k) = C(m, k)/(m-1)! in floats for k <= 2 m_max + 1.
-
-    D_m(k) = D_{m-1}(k) + D_{m-1}(k-m)/(m-1), the recurrence of
-    ``tables.iter_srec_rows`` divided by (m-1)!.  Every step yields the
-    same list, updated in place; each entry is within a relative
-    3m 2^-53 of its exact value (module docstring).
-    """
-    d = [0.0] * (2 * m_max + 2)
-    d[1] = 1.0
-    for m in range(1, m_max + 1):
-        yield m, d
-        # D_{m+1}(k) = D_m(k) + D_m(k-m-1)/m, read from slices of row m
-        d[m + 2:] = map(add, d[m + 2:], map(truediv, d[1:-m - 1], repeat(m)))
-
-
-def _srec_cut(n: int, lows: Sequence[float], a_min: float, a_max: float) -> int:
-    """The last k of the srec row of n >= 6 that the sup scan must read: 5 when the bounds certify, else top.
-
-    The floor is the largest deviation of the end segments and of
-    segments 3..5, whose values are (n-1)!, (n-1)!/2 and (n-1)!/3, with
-    ln((n-1)!) read as lgamma(n), less ``_BOUND_SLACK``.  Segments 6..n
-    hold (n-1)! a_{k-1}, a_{k-1} in [a_min, a_max].  Every middle k > n
-    lies in the run of one q0 in [3, n], k = s + 1 + r with
-    s = sum[q0..n] and 0 <= r <= q0 - 2, on which ln C(n, k) lies between
-    ``lows[q0]`` and n ln 2 + ln Gamma(q0), extremal's upper end.  Each
-    bound is read at its range's two ends, as T decreases (module
-    docstring).
-    """
-    top, _, b = _cuts(n, SREC)
-    n_ln_n = n * math.log(n)
-    ln_f = math.lgamma(n)
-    ends = ((0, 4, ln_f), (4, 5, ln_f - _LN2), (5, 6, ln_f - math.log(3.0)), (b, top, 0.0))
-    floor = max(abs(y / n_ln_n - _sqrt_one_minus(x / top))
-                for lo, hi, y in ends for x in (lo, hi)) - _BOUND_SLACK
-    prefix = max((ln_f + math.log(a_max)) / n_ln_n - _sqrt_one_minus((n + 1) / top),
-                 _sqrt_one_minus(6 / top) - (ln_f + math.log(a_min)) / n_ln_n)
-    if prefix >= floor:
-        return top
-    n_ln_2 = n * _LN2
-    s = top - 3  # sum[q0..n] at q0 = 3
-    for q0 in range(3, n + 1):
-        hi = (n_ln_2 + math.lgamma(q0)) / n_ln_n - _sqrt_one_minus(min(s + q0, b) / top)
-        lo = _sqrt_one_minus((s + 1) / top) - lows[q0] / n_ln_n
-        if hi >= floor or lo >= floor:
-            return top
-        s -= q0
-    return 5
-
-
-def _srec_cuts(n_min: int, n_max: int) -> Iterator[int]:
-    """The ``_srec_cut`` of each n in [n_min, n_max], top for n < 6, from one sweep of ``_normalized_rows``.
-
-    Row m = n - 1 completes the run of q0 = n, whose least family bound
-    (m-1)! min_r [D_m(r+1) + m D_m(r+1+q0)] it gives in O(m), and
-    a_{n-1} = D_m(n); so the cut of n is read when that row arrives.
-    """
-    lows = [0.0] * 4  # ln of each run's least family bound, by q0; 1 at q0 = 3
-    a_min, a_max = math.inf, 0.0
-    for m, d in _normalized_rows(n_max - 1):
-        n = m + 1
-        if m >= 3:  # r + 1 = 1..m, and r + 1 + q0 = n + 1..2n - 1
-            least = min(map(add, d[1:n], map(mul, repeat(m), d[n + 1:2 * n])))
-            lows.append(math.lgamma(m) + math.log(least))
-        if n >= 6:
-            a_min, a_max = min(a_min, d[n]), max(a_max, d[n])
-        if n >= n_min:
-            yield _srec_cut(n, lows, a_min, a_max) if n >= 6 else srec_max(n)
-
-
 def _reports(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """``tau_series`` without its argument checks."""
-    ns = range(n_min, n_max + 1)
-    cuts = repeat(1) if stat == REC else _srec_cuts(n_min, n_max)
     f = math.factorial(n_min - 1)  # (n-1)!, the row's first entry
     reports = []
-    for n, cut in zip(ns, cuts):
-        # c(n, 1), or C(n, k) = (n-1)! a_{k-1} for k <= min(5, n + 1); a cut
-        # inside it is 1 (rec, every n: module docstring), 5 (srec, n >= 6)
-        # or top = 3 = n + 1 (srec, n = 2)
-        prefix = (0, f) if stat == REC else (0, f, 0, f, f // 2, f // 3)
-        row = prefix[:cut + 1] if cut < len(prefix) else _row(n, stat)
+    for n in range(n_min, n_max + 1):
+        # the theorems of the module docstring cut rec at k = 1 and srec
+        # n >= 6 at k = 5, inside C(n, k) = (n-1)! a_{k-1}; srec n <= 5 read
+        # the whole row
+        if stat == REC:
+            row = (0, f)
+        elif n >= 6:
+            row = (0, f, 0, f, f // 2, f // 3)
+        else:
+            row = _row(n, stat)
         reports.append(_sup_from_row(n, stat, row))
         f *= n
     return reports
@@ -420,20 +399,15 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
     The report is the one from evaluating every constant segment at both
     endpoints, the right one standing in for the one-sided limit, so no
     grid can under-report; a value below 1 raises ValueError.  The scan
-    reads the count row of (n, stat) only up to a cut.  For rec the cut
-    is k = 1 for every n, a theorem of the module docstring: no middle
-    segment k >= 2 reaches the deviation at x = 0, so the scan reads
-    (n-1)! alone.  For srec the prefix and run bounds, read from one float
-    sweep of normalized rows kept to k <= 2n - 1, cut at k = 5 for every
-    n from 6 to 1200, so it reads (n-1)!, (n-1)!/2 and (n-1)!/3.  A row
-    shorter than top + 1 is a certified prefix, and ``_reports`` picks
-    it: the entries read off (n-1)! up to a cut that falls among them,
-    else the whole count row, which the scan reads one segment at a time.
-    The entries past the cut sit on segments that deviate by strictly
-    less than the sup, by a gap far above the scan's rounding (rec) or
-    with the slack covering the bounds' rounding (srec), so the report
-    is the full row's (module docstring).
-    ``tau_series`` scans a range of n.
+    reads the count row of (n, stat) only up to a cut, proved in the
+    module docstring: no segment past it reaches the largest deviation
+    of the segments before it and the last one, by a gap far above the
+    scan's rounding, so the report is the full row's.  For rec the cut is
+    k = 1 for every n, so the scan reads (n-1)! alone.  For srec it is
+    k = 5 for every n >= 6, so the scan reads (n-1)!, (n-1)!/2 and
+    (n-1)!/3, the entries C(n, k) = (n-1)! a_{k-1}; no count row is
+    built.  Srec n = 2..5 read the whole row.  ``tau_series`` scans a
+    range of n.
 
     >>> r = sup_deviation(2, "rec")
     >>> (r.sup_dev, r.argmax_x)
@@ -448,12 +422,10 @@ def sup_deviation(n: int, stat: str) -> DeviationReport:
 def tau_series(stat: str, n_min: int, n_max: int) -> list[DeviationReport]:
     """DeviationReport for every n in [n_min, n_max], ascending.
 
-    One pass over n holds (n-1)!, a running product, and reads each
-    n's cut, as ``sup_deviation`` says; ``_reports`` hands the scan the
-    prefix of (n-1)! up to that cut, or the whole row when the cut falls
-    past the prefix.  For srec the cuts come from one sweep of normalized
-    rows, kept to k <= 2 n_max - 1 in one float list updated in place;
-    row n - 1 completes the bounds of n.  For rec every cut is k = 1.
+    One pass over n holds (n-1)!, a running product, and hands the scan
+    the entries of it up to each n's cut, as ``sup_deviation`` says:
+    (n-1)! for rec, and (n-1)!, (n-1)!/2 and (n-1)!/3 for srec n >= 6.
+    Srec n = 2..5 read the whole row.
     """
     _check_stat(stat)
     if not 2 <= n_min <= n_max:

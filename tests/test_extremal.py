@@ -81,11 +81,6 @@ def normal_form(chosen: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...], 
     return low + 1, chosen[low:high], n + 1 - (len(chosen) - high)
 
 
-def has_the_shape(chosen: tuple[int, ...], n: int) -> bool:
-    """Whether a sorted subset of {2, ..., n} is [2..p] + {x} + [q..n]."""
-    return len(normal_form(chosen, n)[1]) <= 1
-
-
 class TestMinProduct:
     def test_small_k_is_k_minus_one(self):
         result = min_product(10, 7)
@@ -149,10 +144,6 @@ class TestMinProduct:
             assert len(middle) <= 1 and (p <= 2 or (p, middle) == (3, ())), f"n={n}, sum={s}: {sets}"
             assert q0 <= q <= q0 + 1, f"n={n}, sum={s}: {sets}"
             assert min_product(n, s + 1) == (n, s + 1, least, (1, *sets[0]))
-
-    def test_shape_predicate(self):
-        assert has_the_shape((), 6) and has_the_shape((2, 3, 5, 9, 10), 10)
-        assert not has_the_shape((3, 5), 10) and not has_the_shape((2, 4, 5, 6), 7)
 
     @pytest.mark.parametrize("k,digest", [
         (100, "fa61f539f739a1e7126cfd2439e13bee2e13e9963cd5f2727fa5717ecadba5a7"),

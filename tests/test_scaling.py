@@ -1,16 +1,17 @@
-import functools
 import math
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
+from operator import add, truediv
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from recstats import scaling
-from recstats.extremal import _i0, _log_count_upper
+from recstats.extremal import _i0
 from recstats.scaling import (
     DeviationReport,
     _segments,
@@ -349,12 +350,28 @@ def spy(monkeypatch, name: str) -> list:
 
 
 def end_floor(n: int) -> float:
-    """The largest deviation of the srec end segments and of segments 3..5 (n >= 6), less the slack, from exact ints."""
+    """The largest deviation of the srec end segments and of segments 3..5 (n >= 6), from exact ints."""
     top, f = srec_max(n), math.factorial(n - 1)
     n_ln_n = n * math.log(n)
     segments = ((0, 3, f), (3, 4, f), (4, 5, f // 2), (5, 6, f // 3), (top - 1, top, 1))
     return max(abs(big_ln(value) / n_ln_n - target_value(SREC, x / top))
-               for lo, hi, value in segments for x in (lo, hi)) - scaling._BOUND_SLACK
+               for lo, hi, value in segments for x in (lo, hi))
+
+
+A_LOW = 0.4678  # lemma 1 of the scaling docstring: A_LOW <= a_m <= 1 for m >= 5
+N0 = 65  # the srec theorem of the scaling docstring holds from here on
+
+
+def srec_margin(n: int) -> float:
+    """g(n) n ln n, the srec theorem's margin below the floor, for n >= N0.
+
+    Below N0 the exact rows stand in for the proof, with the prefix's
+    margin ln(3 A_LOW).
+    """
+    if n < N0:
+        return math.log(3 * A_LOW)
+    return (math.log(3 * A_LOW) - (math.log(n) - 1) ** 2 / (8 * n)
+            - 5 * n * math.log(n) / (n * n + n - 5))
 
 
 def count(rows, m: int, j: int) -> int:
@@ -374,74 +391,8 @@ def family_bound(rows, q0: int, r: int) -> int:
     return (q0 - 2) * count(rows, q0 - 2, r + 1) + (q0 - 1) * count(rows, q0 - 1, r + 1 + q0)
 
 
-def run_span(n: int, q0: int) -> tuple[int, int]:
-    """(first k, right end of the last middle segment, in units of 1/top) of the run of q0."""
-    start = (n + q0) * (n + 1 - q0) // 2 + 1
-    return start, min(start + q0 - 1, srec_max(n) - 1)
-
-
-def upper_run_bound(n: int, q0: int) -> float:
-    """Largest deviation above the target that extremal's upper end allows on the run of q0."""
-    start, end = run_span(n, q0)
-    return _log_count_upper(n, start) / (n * math.log(n)) - target_value(SREC, end / srec_max(n))
-
-
-def run_bound(n: int, q0: int, low: int) -> float:
-    """Largest deviation the run bounds allow on the middle segments of the run of q0."""
-    start, _ = run_span(n, q0)
-    lower = target_value(SREC, start / srec_max(n)) - big_ln(low) / (n * math.log(n))
-    return max(upper_run_bound(n, q0), lower)
-
-
-N_EXACT = 300
-
-
-@functools.cache
-def exact_certificate() -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
-    """(least family bound of each run q0 = 3..300, (min, max) of C(n, 6..n) for n = 6..300), in exact ints.
-
-    The rows are kept to k <= 599, every entry the runs read; the
-    recurrence reads only lower indices, so each prefix is exact.
-    """
-    minima, prefixes, rows = {}, {}, {1: [0, 1]}
-    for m in range(2, N_EXACT + 1):
-        old = rows[m - 1] + [0] * m
-        rows[m] = [(m - 1) * old[k] + (old[k - m] if k > m else 0)
-                   for k in range(min(len(old), 2 * N_EXACT))]
-        if m >= 6:
-            prefixes[m] = (min(rows[m][6:m + 1]), max(rows[m][6:m + 1]))
-        q0 = m + 1  # the run whose families read rows m - 1 and m
-        if q0 <= N_EXACT:
-            minima[q0] = min(family_bound(rows, q0, r) for r in range(q0 - 1 if q0 > 3 else 1))
-        rows.pop(m - 2, None)
-    return minima, prefixes
-
-
-def prefix_bound(n: int) -> float:
-    """Largest deviation that C(n, 6..n) in exact ints allow on segments 6..n, read at the range's two ends."""
-    low, high = exact_certificate()[1][n]
-    n_ln_n, top = n * math.log(n), srec_max(n)
-    return max(big_ln(high) / n_ln_n - target_value(SREC, (n + 1) / top),
-               target_value(SREC, 6 / top) - big_ln(low) / n_ln_n)
-
-
-def exact_bounds(n: int) -> list[float]:
-    """The prefix bound and every run bound of n, from exact ints."""
-    minima = exact_certificate()[0]
-    return [prefix_bound(n), *(run_bound(n, q0, minima[q0]) for q0 in range(3, n + 1))]
-
-
-def swept_lows(monkeypatch, n_max: int) -> list[float]:
-    """The logs of the run minima, by q0 <= n_max, that the sweep hands to ``_srec_cut``."""
-    calls = spy(monkeypatch, "_srec_cut")
-    list(scaling._srec_cuts(n_max, n_max))
-    return calls[-1][1]
-
-
 class TestSrecCut:
-    """Srec rows read only to k = 5, certified by bounds read from (n-1)! and one float sweep."""
-
-    CUT_NS = [*range(6, 61), 100, 150, 151, 200, 295, 300]
+    """Srec rows read only to k = 5 for n >= 6: no middle segment k >= 6 reaches the floor (scaling docstring)."""
 
     def test_prefix_identity(self, srec_rows_150):
         # C(n, k) (N-1)! = C(N, k) (n-1)! for k <= n + 1 <= N + 1; each row
@@ -478,17 +429,6 @@ class TestSrecCut:
                 checked += 1
         assert checked == 2775
 
-    def test_float_sweep_within_its_error(self, srec_rows_150):
-        # |D - C(m, k)/(m-1)!| <= 3m 2^-53 C(m, k)/(m-1)!, in ints on the
-        # exact binary value p/q of each float
-        for m, d in scaling._normalized_rows(150):
-            f = math.factorial(m - 1)
-            assert len(d) == 302
-            for k, value in enumerate(d):
-                exact = count(srec_rows_150, m, k)
-                p, q = value.as_integer_ratio()
-                assert abs(p * f - exact * q) << 53 <= 3 * m * exact * q, (m, k)
-
     def test_family_bound_is_sound_for_every_k_small(self, srec_rows_150):
         for n in range(3, 61):
             row = srec_rows_150[n]
@@ -501,83 +441,55 @@ class TestSrecCut:
             for k in range(n + 1, srec_max(n) + 1):
                 assert family_bound(srec_rows_150, *run_of(n, k)) <= row[k], (n, k)
 
-    def test_run_minima_match_per_k_minima(self, monkeypatch, srec_rows_150):
-        # the per-k bounds of the middle segments of n = 151, whose runs
-        # have every q0 in [3, 151]; C(151, k) itself is never read
-        n = 151
-        per_run = {}
-        for k in range(n + 1, srec_max(n) - 1):
-            q0, r = run_of(n, k)
-            bound = family_bound(srec_rows_150, q0, r)
-            per_run[q0] = min(per_run.get(q0, bound), bound)
-        minima = exact_certificate()[0]
-        assert [minima[q0] for q0 in range(3, 152)] == [per_run[q0] for q0 in range(3, 152)]
-        lows = swept_lows(monkeypatch, N_EXACT)
-        assert len(lows) == N_EXACT + 1
-        for q0 in range(3, N_EXACT + 1):
-            assert lows[q0] == pytest.approx(big_ln(minima[q0]), rel=0, abs=1e-11), q0
+    def test_lemma_2_on_real_rows(self, srec_rows_150):
+        # C(n, k) >= 0.4678 (q0 - 2)! on every run of q0 >= 9, in exact ints
+        factorials = [math.factorial(j) for j in range(150)]
+        for n in range(9, 151):
+            row = srec_rows_150[n]
+            for k in range(n + 1, srec_max(n) - 1):
+                q0, _ = run_of(n, k)
+                if q0 >= 9:
+                    assert row[k] * 10**4 >= 4678 * factorials[q0 - 2], (n, k)
 
-    def test_run_minima_dominate_the_single_set_bound(self, monkeypatch):
-        # lows[q0] >= Gamma(q0)/n^2 for every n >= q0, the weakest at n = q0,
-        # so the one-set bound of extremal's docstring would never cut further
-        for q0, low in enumerate(swept_lows(monkeypatch, N_EXACT)[3:], start=3):
-            assert low > math.lgamma(q0) - 2 * math.log(q0), q0
-
-    def test_both_sides_of_the_rule_run(self):
-        cuts = list(scaling._srec_cuts(2, 1200))
-        assert cuts[:4] == [srec_max(n) for n in range(2, 6)]  # whole rows
-        assert cuts[4:] == [5] * 1195
-        assert list(scaling._srec_cuts(300, 300)) == [5]
-
-    @pytest.mark.parametrize("slack", [scaling._BOUND_SLACK, 0.02, 0.05, 0.1])
-    def test_cut_ends_at_the_first_run_that_reaches_the_floor(self, monkeypatch, slack):
-        # each bound recomputed from extremal's upper end and the exact
-        # prefix and minima; a wider slack lowers the floor, and any bound
-        # that reaches it sends the scan to the whole row
-        monkeypatch.setattr(scaling, "_BOUND_SLACK", slack)
-        cuts = dict(zip(range(6, N_EXACT + 1), scaling._srec_cuts(6, N_EXACT)))
-        for n in self.CUT_NS:
-            expected = 5 if max(exact_bounds(n)) < end_floor(n) else srec_max(n)
-            assert cuts[n] == expected, (n, slack)
-        if slack > 0.01:
-            assert any(cut > 5 for cut in cuts.values())
-
-    def test_prefix_alone_sets_the_cut(self, monkeypatch):
-        # from n = 9 on the prefix bound is the highest of all; a floor just
-        # below it, and above every run bound, must send the scan to the whole row
-        for n in self.CUT_NS[3:]:
-            prefix, *runs = exact_bounds(n)
-            assert prefix > max(runs) + 1e-6, n
-            ends = end_floor(n) + scaling._BOUND_SLACK
-            for gap, cut in ((-1e-10, srec_max(n)), (1e-10, 5)):
-                monkeypatch.setattr(scaling, "_BOUND_SLACK", ends - (prefix + gap))
-                assert list(scaling._srec_cuts(n, n)) == [cut], (n, gap)
-
-    def test_upper_end_alone_sets_the_cut(self, monkeypatch):
-        # the upper end decides no run for n <= 600 (it stays 0.05 below the
-        # floor).  Here minima of n^(4n) switch the run's lower end off, and
-        # a's that put segments 6..n halfway between T(6/top) and
-        # T((n+1)/top) leave the prefix bound at about 1/(2n): a floor just
-        # below the highest upper bound cuts at the top, one just above at 5
-        for n in (10, 50, 150, 300):
-            top, n_ln_n = srec_max(n), n * math.log(n)
-            middle = (target_value(SREC, 6 / top) + target_value(SREC, (n + 1) / top)) / 2
-            a = math.exp(middle * n_ln_n - math.lgamma(n))
-            lows = [4 * n_ln_n] * (n + 1)
-            peak = max(upper_run_bound(n, q0) for q0 in range(3, n + 1))
-            ends = end_floor(n) + scaling._BOUND_SLACK
-            for gap, cut in ((-1e-10, top), (1e-10, 5)):
-                monkeypatch.setattr(scaling, "_BOUND_SLACK", ends - (peak + gap))
-                assert scaling._srec_cut(n, lows, a, a) == cut, (n, gap)
+    def test_lemma_1(self):
+        # 0.4678 <= a_m <= 1 for 5 <= m <= 3500, the product formed in floats:
+        # every coefficient is a sum of nonnegative terms, so each float lies
+        # within a factor (1 + 2^-53)^(2m) < 1 + 1e-9 of a_m
+        m_max = 3500
+        a = [1.0] + [0.0] * m_max
+        for s in range(2, m_max + 1):
+            a[s:] = map(add, a[s:], map(truediv, a[:-s], repeat(s - 1)))
+        assert a[:9] == pytest.approx([1, 0, 1, 1 / 2, 1 / 3, 3 / 4, 8 / 15, 7 / 12, 131 / 280], rel=1e-15)
+        assert min(a[5:]) >= A_LOW * (1 + 1e-9) and max(a[5:]) <= 1 - 1e-9
+        # the arithmetic of the tail bound for m > 3500
+        theta = 0.8
+        beta = [0.0] + [(1 - theta) * (3 * s + 2) / (2 * s) + 2 * theta * math.exp(1 / s) for s in range(1, 7)]
+        head = 2 ** (theta - 2) * beta[2] + sum(s ** (theta - 2) * s / (s - 1) * beta[s] for s in (3, 4, 5))
+        tail = 6 / 5 * beta[6] * 5 * 5.5 ** (theta - 1)
+        assert 2 * math.exp(2.5 - math.pi ** 2 / 6) < 4.71 and head < 3.39 and tail < 9.49
+        assert 4.71 * 12.88 < 60.7 and 60.7 * m_max ** -theta + 1e-9 < 0.0888
+        assert math.exp(-0.5772156649015329) - 0.0888 > A_LOW
 
     def test_skipped_segments_deviate_less_on_real_rows(self, srec_rows_150):
+        # the theorem with no slack: both ends of every middle segment
+        # k >= 6 deviate by at most the floor less g(n), the largest
+        # deviation of the segments the prefix holds
+        assert all(0 < srec_margin(n) < srec_margin(n + 1) for n in range(N0, 5000))
         for n in range(6, 151):
-            row, top = srec_rows_150[n], srec_max(n)
-            floor = end_floor(n)
+            row, top, n_ln_n = srec_rows_150[n], srec_max(n), n * math.log(n)
+            floor = end_floor(n) - srec_margin(n) / n_ln_n
             for k in range(6, top - 1):
-                y = big_ln(row[k]) / (n * math.log(n))
+                y = big_ln(row[k]) / n_ln_n
                 for x in (k / top, (k + 1) / top):
-                    assert abs(y - target_value(SREC, x)) < floor, (n, k)
+                    assert abs(y - target_value(SREC, x)) <= floor, (n, k)
+
+    def test_sup_sits_at_segment_5_from_n_10(self):
+        for report in tau_series(SREC, 10, 300):
+            n = report.n
+            closed = (math.log(n) * math.sqrt(1 - 10 / (n * (n + 1)))
+                      - big_ln(math.factorial(n - 1) // 3) / n)
+            assert report.argmax_x == 5 / srec_max(n), n
+            assert report.tau == pytest.approx(closed, rel=1e-12), n
 
     def test_prefix_scans_match_full_rows(self, srec_rows_150):
         full = [scan_row(n, SREC, srec_rows_150[n]) for n in range(2, 151)]
@@ -593,6 +505,7 @@ class TestSrecCut:
         monkeypatch.setattr(scaling, "srec_table", no_row)
         tau_series(SREC, 6, 300)
         sup_deviation(1200, SREC)
+        sup_deviation(3000, SREC)
 
 
 def rec_end_floor(n: int) -> float:
@@ -642,14 +555,7 @@ class TestRecCut:
 
 
 class TestOneSweep:
-    """One sweep per certificate; ``_reports`` builds the whole row only for a cut past the (n-1)! prefix."""
-
-    def test_srec_rows_are_swept_once(self, monkeypatch):
-        sweeps = spy(monkeypatch, "_normalized_rows")
-        tau_series(SREC, 2, 60)
-        assert len(sweeps) == 1
-        sup_deviation(400, SREC)
-        assert len(sweeps) == 2
+    """One pass over n per certificate; ``_reports`` builds a whole row only for srec n <= 5."""
 
     def test_certified_cuts_read_only_the_prefix(self, monkeypatch):
         whole = spy(monkeypatch, "_row")
@@ -657,18 +563,6 @@ class TestOneSweep:
         tau_series(SREC, 6, 300)
         sup_deviation(1200, SREC)
         assert whole == []
-
-    @pytest.mark.parametrize("slack", [0.02, 0.05, 0.1])
-    def test_srec_cut_past_the_prefix_reads_the_whole_row(self, monkeypatch, srec_rows_150, slack):
-        # slacks of test_cut_ends_at_the_first_run_that_reaches_the_floor:
-        # the cuts of many n pass k = 5, the end of the (n-1)! prefix
-        monkeypatch.setattr(scaling, "_BOUND_SLACK", slack)
-        whole = spy(monkeypatch, "_row")
-        full = [full_scan_sup(n, SREC, srec_rows_150[n]) for n in range(2, 61)]
-        assert tau_series(SREC, 2, 60) == full
-        assert whole
-        for n in (6, 25, 60):
-            assert sup_deviation(n, SREC) == full[n - 2]
 
 
 class TestTauSeries:
@@ -679,8 +573,7 @@ class TestTauSeries:
 
     def test_streaming_matches_per_n(self):
         assert tau_series(SREC, 2, 25) == [sup_deviation(n, SREC) for n in range(2, 26)]
-        # the series sweeps its normalized rows to k <= 2 n_max - 1, each
-        # sup_deviation to k <= 2 n - 1
+        # the series carries (n-1)! from math.factorial(n_min - 1)
         assert tau_series(SREC, 290, 300) == [sup_deviation(n, SREC) for n in range(290, 301)]
 
     def test_guards(self):
